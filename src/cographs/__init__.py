@@ -55,6 +55,7 @@ from .errors import (
     CographError,
     DegreeTooLowError,
     DisconnectedError,
+    EdgeListSyntaxError,
     EmptySetError,
     ExpressionSyntaxError,
     IsKmError,

@@ -19,6 +19,7 @@ from .cotree import (
     UNION,
     Cotree,
     CotreeNode,
+    _complete_order,
     cocomponents,
     cotree_from_graph,
     materialize,
@@ -122,15 +123,6 @@ def is_maximally_connected(ct: Cotree) -> bool:
     top = cocomps[0].n
     return any(c.n == top and _cocomponent_has_isolated_vertex(c.root)
                for c in cocomps)
-
-
-def _complete_order(node: CotreeNode) -> int | None:
-    """Order c when the node denotes K_c, else None."""
-    if node.kind == LEAF:
-        return 1
-    if node.kind == JOIN and all(c.kind == LEAF for c in node.children):
-        return node.order
-    return None
 
 
 def _is_c4(ct: Cotree) -> bool:

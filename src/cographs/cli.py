@@ -12,18 +12,9 @@ import argparse
 import json
 import sys
 
+from . import embed
 from .analysis import analyze, as_cotree
 from .cotree import cotree_from_graph, format_expression, materialize, parse_expression
-from .embed import (
-    keep_connectivity_edge_delete,
-    keep_connectivity_edge_delete_two,
-    keep_edge_connectivity_edge_delete,
-    keep_edge_connectivity_vertex_delete,
-    keep_maximal_connectedness,
-    keep_super_edge_connectivity,
-    keep_vertex_connectivity,
-    keep_vertex_connectivity_two,
-)
 from .embedding import DisjointPair, Embedding
 from .errors import CographError, PostconditionFailedError
 from .generators import named_tree, random_cotree, tight_example
@@ -42,9 +33,18 @@ EXIT_IO = 2
 EXIT_DOMAIN = 3
 EXIT_POSTCONDITION = 4
 
-_THEOREMS = ("th1", "th2", "maxcon", "th3", "th4", "th6", "superkeep", "th5")
-_NEED_K = {"th1", "th3", "th6", "th5"}
-_TWO_TREES = {"th2", "th4"}
+# CLI name -> (name of the ``embed.keep_*`` operation, takes -k, takes --tree2).
+# The operation is looked up on the module at call time, never stored here.
+_THEOREMS = {
+    "th1": ("keep_vertex_connectivity", True, False),
+    "th2": ("keep_vertex_connectivity_two", False, True),
+    "maxcon": ("keep_maximal_connectedness", False, False),
+    "th3": ("keep_connectivity_edge_delete", True, False),
+    "th4": ("keep_connectivity_edge_delete_two", False, True),
+    "th6": ("keep_edge_connectivity_vertex_delete", True, False),
+    "superkeep": ("keep_super_edge_connectivity", False, False),
+    "th5": ("keep_edge_connectivity_edge_delete", True, False),
+}
 
 
 class _UsageError(Exception):
@@ -136,32 +136,24 @@ def _run_embed(args) -> tuple[dict, int]:
     G = _load_graph(args)
     T = named_tree(args.tree)
     theorem = args.theorem
-    if theorem in _NEED_K:
+    name, takes_k, two_trees = _THEOREMS[theorem]
+    extra = []
+    if takes_k:
         if args.k is None:
             raise _UsageError(f"--theorem {theorem} requires -k")
+        if args.k < 1:
+            raise _UsageError("-k must be at least 1")
+        extra = [args.k]
     elif args.k is not None:
         raise _UsageError(f"--theorem {theorem} does not take -k")
-    if args.tree2 is not None and theorem not in _TWO_TREES:
+    if two_trees:
+        T2 = named_tree(args.tree2) if args.tree2 else T
+        if T2.order != T.order:
+            raise _UsageError("--tree and --tree2 must have the same order")
+        extra = [T2]
+    elif args.tree2 is not None:
         raise _UsageError(f"--theorem {theorem} does not take --tree2")
-
-    if theorem == "th1":
-        result = keep_vertex_connectivity(G, T, args.k)
-    elif theorem == "th2":
-        T2 = named_tree(args.tree2) if args.tree2 else T
-        result = keep_vertex_connectivity_two(G, T, T2)
-    elif theorem == "maxcon":
-        result = keep_maximal_connectedness(G, T)
-    elif theorem == "th3":
-        result = keep_connectivity_edge_delete(G, T, args.k)
-    elif theorem == "th4":
-        T2 = named_tree(args.tree2) if args.tree2 else T
-        result = keep_connectivity_edge_delete_two(G, T, T2)
-    elif theorem == "th6":
-        result = keep_edge_connectivity_vertex_delete(G, T, args.k)
-    elif theorem == "superkeep":
-        result = keep_super_edge_connectivity(G, T)
-    else:
-        result = keep_edge_connectivity_edge_delete(G, T, args.k)
+    result = getattr(embed, name)(G, T, *extra)
 
     payload = result.to_dict()
     payload["residual"] = _residual_report(G, result)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ArityError, ExpressionSyntaxError
+from .errors import ArityError, ExpressionSyntaxError, PostconditionFailedError
 from .graph import Graph, induced_subgraph
 
 __all__ = [
@@ -210,15 +210,19 @@ def parse_expression(text: str) -> Cotree:
     return Cotree(_Parser(text).parse())
 
 
-def _is_all_leaf_join(node: CotreeNode) -> bool:
-    return node.kind == JOIN and all(c.kind == LEAF for c in node.children)
+def _complete_order(node: CotreeNode) -> int | None:
+    """Order c when the node denotes K_c, else None."""
+    if node.kind == LEAF:
+        return 1
+    if node.kind == JOIN and all(c.kind == LEAF for c in node.children):
+        return node.order
+    return None
 
 
 def _format(node: CotreeNode) -> str:
-    if node.kind == LEAF:
-        return "K1"
-    if _is_all_leaf_join(node):
-        return f"K{node.order}"
+    order = _complete_order(node)
+    if order is not None:
+        return f"K{order}"
     if node.kind == JOIN:
         return "+".join(_format(c) for c in node.children)
     # union nodes are always parenthesized, matching the conventional output;
@@ -314,7 +318,9 @@ def _decompose(G: Graph) -> CotreeNode:
     if len(cocomps) > 1:
         return join([_decompose(induced_subgraph(G, c)) for c in cocomps])
     witness = find_induced_p4(G)
-    assert witness is not None, "connected co-connected graph must contain a P4"
+    if witness is None:
+        raise PostconditionFailedError(
+            "connected co-connected graph must contain a P4")
     raise _P4Found(witness)
 
 

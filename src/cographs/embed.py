@@ -15,10 +15,9 @@ from __future__ import annotations
 from collections import deque
 
 from .analysis import (
-    _complete_order,
+    _delta,
     as_cotree,
     as_graph_and_cotree,
-    degrees,
     is_connected_cograph,
     is_k_connected_cograph,
     is_k_edge_connected_cograph,
@@ -26,7 +25,7 @@ from .analysis import (
     is_super_edge_connected,
     kappa_cograph,
 )
-from .cotree import Cotree, cocomponents, components, materialize
+from .cotree import LEAF, UNION, Cotree, _complete_order, cocomponents, components
 from .embedding import (
     DeleteMode,
     DisjointPair,
@@ -50,15 +49,8 @@ from .errors import (
     PartTooSmallError,
     PostconditionFailedError,
 )
-from .graph import (
-    Graph,
-    TreeShape,
-    delete_edges,
-    delete_vertices,
-    edge_connectivity_flow,
-    induced_subgraph,
-    vertex_connectivity_flow,
-)
+from .graph import Graph, TreeShape, delete_vertices, induced_subgraph
+from .oracle import residual_satisfies
 
 __all__ = [
     "greedy_embed",
@@ -235,12 +227,65 @@ def _split_primary(ct: Cotree) -> tuple[set[int], list[int], list[Cotree]]:
     return g1, s, parts
 
 
-def _delta(ct: Cotree) -> int:
-    return min(degrees(ct).values())
+def _inputs(G: Graph | Cotree, k: int = 1,
+            trees: tuple[TreeShape, ...] = ()) -> tuple[Graph, Cotree]:
+    """Argument checks shared by the ``keep_*`` operations, then the graph
+    and its cotree."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if len({T.order for T in trees}) > 1:
+        raise ValueError("both trees must have the same order")
+    return as_graph_and_cotree(G)
 
 
-def _residual_cotree(G: Graph, image) -> Cotree:
-    return as_cotree(delete_vertices(G, image))
+def _delta_at_least(ct: Cotree, bound: int, case: str | None = None,
+                    formula: str = "", error=BoundViolatedError) -> int:
+    """delta of the cograph, after checking it against a theorem's bound."""
+    delta = _delta(ct)
+    if delta < bound:
+        need = f"case {case} needs" if case else "need"
+        message = f"{need} delta >= {formula}{bound}, got {delta}"
+        if error is BoundViolatedError:
+            raise BoundViolatedError(message, required_delta=bound, case=case)
+        raise error(message)
+    return delta
+
+
+def _closed_form_holds(rct: Cotree, prop: Preserved) -> bool:
+    """The tagged property of a cograph residual, read off its cotree."""
+    if prop.kind == "k_connected":
+        return is_k_connected_cograph(rct, prop.k)
+    if prop.kind == "k_edge_connected":
+        return is_k_edge_connected_cograph(rct, prop.k)
+    if prop.kind == "exact_kappa":
+        return kappa_cograph(rct) == prop.k
+    if prop.kind == "maximally_connected":
+        return is_maximally_connected(rct)
+    if prop.kind == "super_edge_connected":
+        return is_super_edge_connected(rct)
+    raise ValueError(f"unknown property kind {prop.kind!r}")
+
+
+def _verified(G: Graph, result: Embedding | DisjointPair,
+              oracle_max_n: int = 0) -> Embedding | DisjointPair:
+    """Re-check the property ``result`` is tagged with on its residual.
+
+    A vertex-deleted residual is an induced subgraph, hence a cograph: it
+    is recognized once and judged by the closed form, and also by the
+    flow/cut oracle when it has at most ``oracle_max_n`` vertices.  An
+    edge-deleted residual need not be a cograph, so the oracle judges it.
+    """
+    head = getattr(result, "first", result)
+    prop = head.preserved
+    residual = result.residual(G)
+    if head.mode is DeleteMode.VERTEX:
+        _require(_closed_form_holds(as_cotree(residual), prop),
+                 f"residual is not {prop.tag()} (closed form)")
+        if residual.n > oracle_max_n:
+            return result
+    _require(residual_satisfies(G, residual, prop),
+             f"residual is not {prop.tag()} (oracle)")
+    return result
 
 
 def _try_embed(fn, *args, **kwargs):
@@ -310,24 +355,15 @@ def keep_vertex_connectivity(G: Graph | Cotree, T: TreeShape, k: int) -> Embeddi
     Requires a k-connected cograph meeting the case bound of
     :func:`keep_vertex_connectivity_bound` for its primary cocomponent order.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    G, ct = as_graph_and_cotree(G)
+    G, ct = _inputs(G, k)
     if not is_k_connected_cograph(ct, k):
         raise NotKConnectedError(f"input is not {k}-connected")
     n_prime = cocomponents(ct)[0].n
     case, bound = keep_vertex_connectivity_bound(k, T.order, n_prime)
-    delta = _delta(ct)
-    if delta < bound:
-        raise BoundViolatedError(
-            f"case {case} needs delta >= {bound}, got {delta}",
-            required_delta=bound, case=case)
+    _delta_at_least(ct, bound, case=case)
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, k)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, k_connected(k))
-    rct = _residual_cotree(G, emb.image)
-    _require(is_k_connected_cograph(rct, k),
-             f"residual is not {k}-connected")
-    return emb
+    return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
+                                               k_connected(k)))
 
 
 def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
@@ -336,19 +372,13 @@ def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
 
     Requires a connected cograph with delta >= ceil(3 kappa / 2) + m - 1.
     """
-    if T1.order != T2.order:
-        raise ValueError("both trees must have the same order")
-    G, ct = as_graph_and_cotree(G)
+    G, ct = _inputs(G, trees=(T1, T2))
     m = T1.order
     if not is_connected_cograph(ct):
         raise BoundViolatedError("a connected cograph is required")
     kappa = kappa_cograph(ct)
-    bound = (3 * kappa + 1) // 2 + m - 1
-    delta = _delta(ct)
-    if delta < bound:
-        raise BoundViolatedError(
-            f"need delta >= ceil(3 kappa / 2) + m - 1 = {bound}, got {delta}",
-            required_delta=bound)
+    _delta_at_least(ct, (3 * kappa + 1) // 2 + m - 1,
+                    formula="ceil(3 kappa / 2) + m - 1 = ")
     g1, _, parts = _split_primary(ct)
     if len(g1) == 1:
         # Only K1 with m = 1 reaches this point; its single vertex cannot
@@ -364,10 +394,7 @@ def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
              "components do not retain ceil(kappa/2) vertices")
     emb1 = Embedding.from_mapping(T1, map1, DeleteMode.VERTEX, exact_kappa(kappa))
     emb2 = Embedding.from_mapping(T2, map2, DeleteMode.VERTEX, exact_kappa(kappa))
-    pair = DisjointPair(emb1, emb2)
-    rct = _residual_cotree(G, pair.combined_image())
-    _require(kappa_cograph(rct) == kappa, "residual kappa changed")
-    return pair
+    return _verified(G, DisjointPair(emb1, emb2))
 
 
 # -- maximal connectedness keeping tree ---------------------------------------------
@@ -382,10 +409,10 @@ def _primary_with_isolated(ct: Cotree) -> tuple[int, list[Cotree]]:
         if part.n != top:
             break
         node = part.root
-        if node.kind == "leaf":
+        if node.kind == LEAF:
             candidates = [node.label]
-        elif node.kind == "union":
-            candidates = [c.label for c in node.children if c.kind == "leaf"]
+        elif node.kind == UNION:
+            candidates = [c.label for c in node.children if c.kind == LEAF]
         else:
             candidates = []
         for x in candidates:
@@ -404,15 +431,13 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     delta >= m - 1.  The construction shields one isolated vertex of a
     primary cocomponent and re-establishes a primary cocomponent around it.
     """
-    G, ct = as_graph_and_cotree(G)
+    G, ct = _inputs(G)
     m = T.order
     if not is_maximally_connected(ct):
         raise NotMaximallyConnectedError("input is not maximally connected")
     if ct.n == m and cocomponents(ct)[0].n == 1:
         raise IsKmError(f"input is the complete graph K_{m}")
-    delta = _delta(ct)
-    if delta < m - 1:
-        raise DegreeTooLowError(f"need delta >= {m - 1}, got {delta}")
+    delta = _delta_at_least(ct, m - 1, error=DegreeTooLowError)
 
     x, parts = _primary_with_isolated(ct)
     g1 = set(parts[0].labels)
@@ -447,9 +472,7 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
                                  maximally_connected())
     _require(x not in emb.image, "the shielded isolated vertex was deleted")
-    rct = _residual_cotree(G, emb.image)
-    _require(is_maximally_connected(rct), "residual is not maximally connected")
-    return emb
+    return _verified(G, emb)
 
 
 def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
@@ -526,26 +549,16 @@ def keep_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
 
     Requires a k-connected cograph with delta >= k + m - 1.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    G, ct = as_graph_and_cotree(G)
-    m = T.order
+    G, ct = _inputs(G, k)
     if not is_k_connected_cograph(ct, k):
         raise NotKConnectedError(f"input is not {k}-connected")
-    bound = k + m - 1
-    delta = _delta(ct)
-    if delta < bound:
-        raise BoundViolatedError(f"need delta >= {bound}, got {delta}",
-                                 required_delta=bound)
+    _delta_at_least(ct, k + T.order - 1)
     _, s, _ = _split_primary(ct)
     protected = s[:k]
     allowed = set(G.vertices) - set(protected)
     mapping = _try_embed(_embed_mapping, G, T, allowed)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE, k_connected(k))
-    residual = emb.residual(G)
-    ok = residual.n == 1 and k <= 1 or vertex_connectivity_flow(residual) >= k
-    _require(ok, f"residual is not {k}-connected after edge deletion")
-    return emb
+    return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.EDGE,
+                                               k_connected(k)))
 
 
 def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
@@ -554,42 +567,27 @@ def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
 
     Requires a connected cograph with delta >= kappa + m - 1.
     """
-    if T1.order != T2.order:
-        raise ValueError("both trees must have the same order")
-    G, ct = as_graph_and_cotree(G)
+    G, ct = _inputs(G, trees=(T1, T2))
     m = T1.order
     if not is_connected_cograph(ct):
         raise BoundViolatedError("a connected cograph is required")
     kappa = kappa_cograph(ct)
-    bound = kappa + m - 1
-    delta = _delta(ct)
-    if delta < bound:
-        raise BoundViolatedError(f"need delta >= {bound}, got {delta}",
-                                 required_delta=bound)
+    _delta_at_least(ct, kappa + m - 1)
     if m == 1:
         if ct.n < 2:
             raise BoundViolatedError(
                 "two disjoint trees need at least two vertices")
-        a, b = ct.labels[0], ct.labels[1]
-        root1 = T1.tree.vertices[0]
-        root2 = T2.tree.vertices[0]
-        emb1 = Embedding.from_mapping(T1, {root1: a}, DeleteMode.EDGE,
-                                      exact_kappa(kappa))
-        emb2 = Embedding.from_mapping(T2, {root2: b}, DeleteMode.EDGE,
-                                      exact_kappa(kappa))
-        return DisjointPair(emb1, emb2)
-    g1, _, parts = _split_primary(ct)
-    _require(len(g1) >= 2, "bound forces a disconnected primary cocomponent")
-    comps = components(parts[0])
-    map1 = _try_embed(_embed_mapping, G, T1, comps[0].labels)
-    map2 = _try_embed(_embed_mapping, G, T2, comps[1].labels)
+        map1 = {T1.tree.vertices[0]: ct.labels[0]}
+        map2 = {T2.tree.vertices[0]: ct.labels[1]}
+    else:
+        g1, _, parts = _split_primary(ct)
+        _require(len(g1) >= 2, "bound forces a disconnected primary cocomponent")
+        comps = components(parts[0])
+        map1 = _try_embed(_embed_mapping, G, T1, comps[0].labels)
+        map2 = _try_embed(_embed_mapping, G, T2, comps[1].labels)
     emb1 = Embedding.from_mapping(T1, map1, DeleteMode.EDGE, exact_kappa(kappa))
     emb2 = Embedding.from_mapping(T2, map2, DeleteMode.EDGE, exact_kappa(kappa))
-    pair = DisjointPair(emb1, emb2)
-    residual = pair.residual(G)
-    _require(vertex_connectivity_flow(residual) == kappa,
-             "residual kappa changed after edge deletion")
-    return pair
+    return _verified(G, DisjointPair(emb1, emb2))
 
 
 # -- edge connectivity keeping tree, vertex deletion ------------------------------------
@@ -603,28 +601,14 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
     residual stays connected and connected cographs are maximally
     edge-connected.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    G, ct = as_graph_and_cotree(G)
-    m = T.order
+    G, ct = _inputs(G, k)
     if not is_k_edge_connected_cograph(ct, k):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
-    bound = k + m - (1 if k == 1 else 0)
-    delta = _delta(ct)
-    if delta < bound:
-        raise BoundViolatedError(f"need delta >= {bound}, got {delta}",
-                                 required_delta=bound)
+    _delta_at_least(ct, k + T.order - (1 if k == 1 else 0))
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, 1)
     emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
                                  k_edge_connected(k))
-    residual = emb.residual(G)
-    rct = as_cotree(residual)
-    _require(is_k_edge_connected_cograph(rct, k),
-             f"residual is not {k}-edge-connected (closed form)")
-    flow_ok = (residual.n == 1 and k <= 1
-               or edge_connectivity_flow(residual) >= k)
-    _require(flow_ok, f"residual is not {k}-edge-connected (flow)")
-    return emb
+    return _verified(G, emb, oracle_max_n=G.n)
 
 
 # -- super edge-connectedness keeping tree ------------------------------------------------
@@ -642,14 +626,10 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
 
     Requires a super edge-connected cograph with delta >= m + 2.
     """
-    G, ct = as_graph_and_cotree(G)
-    m = T.order
+    G, ct = _inputs(G)
     if not is_super_edge_connected(ct):
         raise NotSuperError("input is not super edge-connected")
-    delta = _delta(ct)
-    if delta < m + 2:
-        raise BoundViolatedError(f"need delta >= {m + 2}, got {delta}",
-                                 required_delta=m + 2)
+    _delta_at_least(ct, T.order + 2)
     g1, s, parts = _split_primary(ct)
 
     if len(g1) == 1:
@@ -674,12 +654,7 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
 
     emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
                                  super_edge_connected())
-    residual = emb.residual(G)
-    rct = as_cotree(residual)
-    _require(is_super_edge_connected(rct), "residual is not super (closed form)")
-    if residual.n <= _SUPER_BRUTE_CAP:
-        _require(_super_by_cuts(residual), "residual is not super (cut check)")
-    return emb
+    return _verified(G, emb, oracle_max_n=_SUPER_BRUTE_CAP)
 
 
 def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
@@ -748,18 +723,6 @@ def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
         mapping[leaf_t] = spare[0]
         _require(G.has_edge(w_img, spare[0]), "leaf swap lost edge preservation")
     return mapping
-
-
-def _super_by_cuts(G: Graph) -> bool:
-    """Brute-force super edge-connectedness (convention for disconnected)."""
-    from .oracle import min_edge_cuts  # deferred: oracle also uses embedding types
-
-    if G.n == 1:
-        return True
-    if not G.is_connected():
-        return len(G.isolated_vertices()) == 1
-    return all(record.isolates is not None
-               for record in min_edge_cuts(G, cap=max(G.n, 16)))
 
 
 # -- edge connectivity keeping tree, edge deletion ---------------------------------------
@@ -847,7 +810,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
     comp = components(host)[0]
     sub = induced_subgraph(G, set(comp.labels) | {w})
     sub_ct = as_cotree(sub)
-    _require(min(degrees(sub_ct).values()) >= _delta(ct),
+    _require(_delta(sub_ct) >= _delta(ct),
              "recursion lost the degree bound")
     return _keep_edge_conn_mapping(sub, sub_ct, T, k)
 
@@ -860,22 +823,10 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     delta >= max(k + Delta(T) + beta(T) - 1, m - 1); this is never larger
     than k + m - 1.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    G, ct = as_graph_and_cotree(G)
-    m = T.order
+    G, ct = _inputs(G, k)
     if not is_k_edge_connected_cograph(ct, k):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
-    bound = max(k + T.max_degree + T.beta - 1, m - 1)
-    delta = _delta(ct)
-    if delta < bound:
-        raise BoundViolatedError(f"need delta >= {bound}, got {delta}",
-                                 required_delta=bound)
+    _delta_at_least(ct, max(k + T.max_degree + T.beta - 1, T.order - 1))
     mapping = _keep_edge_conn_mapping(G, ct, T, k)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE,
-                                 k_edge_connected(k))
-    residual = emb.residual(G)
-    ok = (residual.n == 1 and k <= 1
-          or edge_connectivity_flow(residual) >= k)
-    _require(ok, f"residual is not {k}-edge-connected")
-    return emb
+    return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.EDGE,
+                                               k_edge_connected(k)))

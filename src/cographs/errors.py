@@ -31,6 +31,10 @@ class WouldBeEmptyError(CographError):
     """Vertex deletion would remove every vertex of the graph."""
 
 
+class EdgeListSyntaxError(CographError, ValueError):
+    """Malformed edge-list text (a ValueError too, for older callers)."""
+
+
 # -- cotree parsing and recognition -----------------------------------------
 
 class ExpressionSyntaxError(CographError):

@@ -2,7 +2,7 @@
 
 The tight examples are the minimum-degree-boundary graphs used to certify
 that each keeping-tree bound cannot be lowered; their claimed kappa and
-delta values are asserted against the closed-form analysis at construction
+delta values are checked against the closed-form analysis at construction
 time.  Random cographs come from recursive random composition (deterministic
 per seed, not uniform over cographs) and random trees from uniform Pruefer
 sequences.
@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, product
 
 from .analysis import analyze
 from .cotree import Cotree, CotreeNode, join, leaf, parse_expression, union
-from .errors import BadSpecError, ParamViolationError
+from .errors import BadSpecError, ParamViolationError, PostconditionFailedError
 from .graph import Graph, TreeShape
 
 __all__ = [
@@ -67,8 +67,9 @@ def _check(condition: bool, detail: str) -> None:
 
 def tight_example(kind: str, k: int | None = None, m: int | None = None) -> TightExample:
     """Build one of the boundary graphs; parameters must meet the kind's
-    side conditions.  Claimed (kappa, delta) metadata is asserted against
-    the analysis module before returning.
+    side conditions.  Claimed (kappa, delta) metadata is checked against
+    the analysis module before returning; a mismatch raises
+    PostconditionFailedError.
     """
     kind = kind.lower()
     if kind not in TIGHT_KINDS:
@@ -129,8 +130,9 @@ def tight_example(kind: str, k: int | None = None, m: int | None = None) -> Tigh
     ct = parse_expression(expr)
     report = analyze(ct).to_dict()
     for key, value in claimed.items():
-        assert report[key] == value, (
-            f"{kind}: claimed {key}={value} but analysis says {report[key]}")
+        if report[key] != value:
+            raise PostconditionFailedError(
+                f"{kind}: claimed {key}={value} but analysis says {report[key]}")
     return TightExample(kind=kind, k=k if kind in _NEEDS_K else None, m=m,
                         cotree=ct, claimed=dict(claimed))
 

@@ -22,6 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import (
+    EdgeListSyntaxError,
     EmptySetError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -327,17 +328,20 @@ def read_edge_list(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        try:
+            numbers = [int(p) for p in line.split()]
+        except ValueError:
+            raise EdgeListSyntaxError(f"not an integer in line: {raw!r}") from None
         if n is None:
-            if len(parts) != 1:
-                raise ValueError("first data line must be the vertex count")
-            n = int(parts[0])
+            if len(numbers) != 1:
+                raise EdgeListSyntaxError("first data line must be the vertex count")
+            n = numbers[0]
             continue
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        if len(numbers) != 2:
+            raise EdgeListSyntaxError(f"bad edge line: {raw!r}")
+        edges.append((numbers[0], numbers[1]))
     if n is None:
-        raise ValueError("empty edge-list input")
+        raise EdgeListSyntaxError("empty edge-list input")
     return Graph.from_edges(n, edges)
 
 

@@ -152,3 +152,29 @@ class TestDeterminismAndFlags:
     def test_dsl_syntax_error_exits_3(self, capsys):
         code, payload = run_json(capsys, "analyze", "--expr", "(K1|K1")
         assert code == 3 and payload["type"] == "ExpressionSyntaxError"
+
+
+class TestRejectedArguments:
+    def test_k_below_one_is_usage_error(self, capsys):
+        assert main(["embed", "--theorem", "th1", "-k", "0",
+                     "--tree", "path:2", "--expr", "K5"]) == 1
+
+    def test_tree_orders_must_match(self, capsys):
+        assert main(["embed", "--theorem", "th2", "--tree", "path:2",
+                     "--tree2", "path:3", "--expr", "(K3|K3)+(K1|K1)"]) == 1
+
+    @pytest.mark.parametrize("text", ["x\n", "3\n0 1 2\n"])
+    def test_malformed_edge_list_exits_3(self, capsys, monkeypatch, text):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, payload = run_json(capsys, "analyze", "-")
+        assert code == 3 and payload["type"] == "EdgeListSyntaxError"
+
+    def test_postcondition_failure_exits_4(self, capsys, monkeypatch):
+        import cographs.embed as embed_module
+        monkeypatch.setattr(embed_module, "_keep_vertex_connectivity_mapping",
+                            lambda G, ct, T, k: {0: 2, 1: 3})
+        code, payload = run_json(
+            capsys, "embed", "--theorem", "th1", "-k", "1",
+            "--tree", "path:2", "--expr", "(K1|K1)+K2")
+        assert code == 4 and payload["type"] == "PostconditionFailedError"

@@ -16,7 +16,11 @@ from cographs import (
     random_cotree,
 )
 from cographs.cotree import JOIN, UNION
-from cographs.errors import ArityError, ExpressionSyntaxError
+from cographs.errors import (
+    ArityError,
+    ExpressionSyntaxError,
+    PostconditionFailedError,
+)
 
 
 class TestParsing:
@@ -114,6 +118,14 @@ class TestRecognition:
             assert G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(c, d)
             assert not (G.has_edge(a, c) or G.has_edge(a, d)
                         or G.has_edge(b, d))
+
+    def test_prime_graph_without_p4_is_a_postcondition_failure(self,
+                                                               monkeypatch):
+        import cographs.cotree as cotree_module
+
+        monkeypatch.setattr(cotree_module, "find_induced_p4", lambda G: None)
+        with pytest.raises(PostconditionFailedError):
+            cotree_from_graph(Graph.path(4))
 
     def test_find_induced_p4_none_on_cograph(self):
         assert find_induced_p4(Graph.cycle(4)) is None

@@ -31,7 +31,12 @@ from cographs import (
 )
 from cographs.analysis import degrees, kappa_cograph
 from cographs.cotree import cocomponents
-from cographs.embed import _super_by_cuts
+from cographs.embedding import (
+    DeleteMode,
+    Embedding,
+    k_edge_connected,
+    super_edge_connected,
+)
 from cographs.errors import (
     BoundViolatedError,
     DegreeTooLowError,
@@ -42,7 +47,9 @@ from cographs.errors import (
     NotMaximallyConnectedError,
     NotSuperError,
     PartTooSmallError,
+    PostconditionFailedError,
 )
+from cographs.oracle import residual_satisfies
 
 
 def G_of(expr):
@@ -336,7 +343,7 @@ class TestKeepSuperEdgeConnectivity:
         G = G_of("(K1|K1)+(K1|K1)+(K1|K1)+(K1|K1)")
         emb = keep_super_edge_connectivity(G, named_tree("path:4"))
         assert emb.image & {0, 1}
-        assert _super_by_cuts(emb.residual(G))
+        assert residual_satisfies(G, emb.residual(G), super_edge_connected())
 
     SINGLE_JOIN = [
         ("((((K1|K1)+(K1|K1)+(K1|K1))|K7)+K1)", "path:3"),  # edges inside Sp
@@ -351,7 +358,7 @@ class TestKeepSuperEdgeConnectivity:
         G = G_of(expr)
         emb = keep_super_edge_connectivity(G, named_tree(tree))
         emb.check(G)
-        assert _super_by_cuts(emb.residual(G))
+        assert residual_satisfies(G, emb.residual(G), super_edge_connected())
 
     def test_not_super_rejected(self):
         with pytest.raises(NotSuperError):
@@ -473,3 +480,56 @@ class TestEmbeddingInvariants:
             emb = keep_vertex_connectivity(G, named_tree("path:2"), k)
             emb.check(G)
             assert len(emb.image) == m
+
+
+class TestVerifier:
+    # Each call succeeds unpatched; together they reach every keep_* return.
+    CALLS = [
+        (keep_vertex_connectivity, "(K1|K1|K1)+K3", ("star:2", 1)),
+        (keep_vertex_connectivity_two, "(K3|K3)+(K1|K1)", ("path:1", "star:1")),
+        (keep_maximal_connectedness, "(K1|K2|K1)+(K1|K1)+K1", ("path:2",)),
+        (keep_connectivity_edge_delete, "K5", ("path:2", 2)),
+        (keep_connectivity_edge_delete_two, "(K3|K3)+K1", ("path:3", "path:3")),
+        (keep_connectivity_edge_delete_two, "(K3|K3)+K1", ("path:1", "path:1")),
+        (keep_edge_connectivity_vertex_delete, "K5", ("path:2", 2)),
+        (keep_super_edge_connectivity, "K6", ("path:3",)),
+        (keep_edge_connectivity_edge_delete, "K5", ("path:2", 2)),
+    ]
+
+    @staticmethod
+    def call(keep, expr, args):
+        args = [named_tree(a) if isinstance(a, str) else a for a in args]
+        return keep(G_of(expr), *args)
+
+    @pytest.mark.parametrize("keep,expr,args", CALLS)
+    def test_every_result_passes_the_verifier(self, keep, expr, args,
+                                              monkeypatch):
+        assert self.call(keep, expr, args)
+        monkeypatch.setattr(embed_module, "_closed_form_holds",
+                            lambda rct, prop: False)
+        monkeypatch.setattr(embed_module, "residual_satisfies",
+                            lambda G, residual, prop: False)
+        with pytest.raises(PostconditionFailedError):
+            self.call(keep, expr, args)
+
+    def test_vertex_mode_non_keeping_placement(self, monkeypatch):
+        # Deleting the K2 side leaves two isolated vertices.
+        G = G_of("(K1|K1)+K2")
+        T = named_tree("path:2")
+        keep_vertex_connectivity(G, T, 1)
+        monkeypatch.setattr(embed_module, "_keep_vertex_connectivity_mapping",
+                            lambda G, ct, T, k: {0: 2, 1: 3})
+        with pytest.raises(PostconditionFailedError,
+                           match=r"k_connected\(1\) \(closed form\)"):
+            keep_vertex_connectivity(G, T, 1)
+
+    def test_oracle_route_refuses_an_overclaiming_tag(self):
+        # An exhaustive search over small cographs found no placement that
+        # breaks an edge-mode property under its bound, so the oracle route
+        # gets a result whose tag overclaims: K4 minus an edge is
+        # 2-edge-connected, not 3-edge-connected.
+        emb = Embedding.from_mapping(named_tree("path:2"), {0: 0, 1: 1},
+                                     DeleteMode.EDGE, k_edge_connected(3))
+        with pytest.raises(PostconditionFailedError,
+                           match=r"k_edge_connected\(3\) \(oracle\)"):
+            embed_module._verified(Graph.complete(4), emb)

@@ -13,7 +13,11 @@ from cographs import (
 )
 from cographs.analysis import degrees
 from cographs.cotree import cotree_from_graph, format_expression
-from cographs.errors import BadSpecError, ParamViolationError
+from cographs.errors import (
+    BadSpecError,
+    ParamViolationError,
+    PostconditionFailedError,
+)
 
 
 class TestTightExamples:
@@ -70,6 +74,19 @@ class TestTightExamples:
     def test_param_violations(self, kind, k, m):
         with pytest.raises(ParamViolationError):
             tight_example(kind, k=k, m=m)
+
+    def test_claim_mismatch_raises(self, monkeypatch):
+        import dataclasses
+
+        import cographs.generators as generators_module
+
+        def off_by_one(ct):
+            report = analyze(ct)
+            return dataclasses.replace(report, kappa=report.kappa + 1)
+
+        monkeypatch.setattr(generators_module, "analyze", off_by_one)
+        with pytest.raises(PostconditionFailedError, match="claimed kappa"):
+            tight_example("th1case1", k=2, m=3)
 
     def test_unknown_kind(self):
         with pytest.raises(ParamViolationError):

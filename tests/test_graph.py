@@ -20,6 +20,7 @@ from cographs import (
     vertex_connectivity_flow,
 )
 from cographs.errors import (
+    EdgeListSyntaxError,
     EmptySetError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -161,6 +162,8 @@ class TestEdgeListFormat:
             read_edge_list("#only comments\n")
         with pytest.raises(ValueError):
             read_edge_list("3\n0 1 2\n")
+        with pytest.raises(EdgeListSyntaxError):
+            read_edge_list("x\n")
 
 
 class TestTreeShape:
