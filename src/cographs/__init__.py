@@ -100,6 +100,7 @@ from .oracle import (
     ProvenNone,
     enumerate_subtree_embeddings,
     exhaustive_keeping_search,
+    has_induced_2k2,
     min_edge_cuts,
 )
 

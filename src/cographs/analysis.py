@@ -4,9 +4,10 @@ Everything here is derived from the cotree alone: kappa is the order minus
 the order of a primary cocomponent, a connected cograph is always maximally
 edge-connected (so lambda equals the minimum degree), maximal connectedness
 is equivalent to a primary cocomponent containing an isolated vertex, and
-super edge-connectedness has a two-clause exclusion characterization.  The
-flow oracle in :mod:`cographs.graph` never feeds these formulas; it exists
-to check them.
+super edge-connectedness has a two-clause exclusion characterization, and
+ideal connectedness (2K2-freeness) is a rule on the union nodes.  The flow
+oracle in :mod:`cographs.graph` and :func:`cographs.oracle.has_induced_2k2`
+never feed these formulas; they exist to check them.
 """
 
 from __future__ import annotations
@@ -119,7 +120,10 @@ def is_maximally_connected(ct: Cotree) -> bool:
     Primary cocomponents are those of maximum order; the characterization
     quantifies existentially over them, so all ties are checked.
     """
-    cocomps = cocomponents(ct)
+    return _is_maximally_connected(cocomponents(ct))
+
+
+def _is_maximally_connected(cocomps: list[Cotree]) -> bool:
     top = cocomps[0].n
     return any(c.n == top and _cocomponent_has_isolated_vertex(c.root)
                for c in cocomps)
@@ -143,34 +147,42 @@ def is_super_edge_connected(ct: Cotree) -> bool:
     Disconnected case (convention, flagged in reports): true exactly when
     the graph has a single isolated vertex.
     """
+    return _is_super_edge_connected(ct, cocomponents(ct), degrees(ct))
+
+
+def _is_super_edge_connected(ct: Cotree, cocomps: list[Cotree],
+                             degs: dict[int, int]) -> bool:
     if ct.n == 1:
         return True
     if not is_connected_cograph(ct):
-        isolated = sum(1 for v, d in degrees(ct).items() if d == 0)
-        return isolated == 1
+        return sum(1 for d in degs.values() if d == 0) == 1
     if _is_c4(ct):
         return False
-    cocomps = cocomponents(ct)
     if len(cocomps) == 2 and cocomps[1].n == 1:
         H = cocomps[0]
-        if H.n >= 4 and _delta(H) >= 1:
-            delta_G = _delta(ct)
+        # delta(H) >= 1: the K1 adds one to every degree of H in G
+        if H.n >= 4 and min(degs[v] for v in H.labels) >= 2:
+            delta_G = min(degs.values())
             if any(_complete_order(c) == delta_G for c in H.root.children):
                 return False
     return True
 
 
 def is_ideally_connected(ct: Cotree) -> bool:
-    """2K2-freeness: no two disjoint edges without a cross edge between them."""
-    G = materialize(ct)
-    edges = sorted(G.edges)
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1:]:
-            if c in (a, b) or d in (a, b):
-                continue
-            if not (G.has_edge(a, c) or G.has_edge(a, d)
-                    or G.has_edge(b, c) or G.has_edge(b, d)):
-                return False
+    """2K2-freeness: no two disjoint edges without a cross edge between them.
+
+    True unless some union node of the cotree has two or more non-leaf
+    children.  The two edges of an induced 2K2 lie in different children of
+    their lowest common union node, and a child of a union node contains an
+    edge exactly when it is not a leaf.
+    """
+    stack = [ct.root]
+    while stack:
+        node = stack.pop()
+        inner = [c for c in node.children if c.kind != LEAF]
+        if node.kind == UNION and len(inner) >= 2:
+            return False
+        stack.extend(inner)
     return True
 
 
@@ -236,22 +248,24 @@ def analyze(obj: Graph | Cotree) -> AnalysisReport:
     """
     ct = as_cotree(obj)
     degs = degrees(ct)
+    cocomps = cocomponents(ct)
+    n_prime = cocomps[0].n
     delta = min(degs.values())
     Delta = max(degs.values())
     connected = is_connected_cograph(ct)
-    lam = lambda_cograph(ct)
+    lam = delta if connected else 0
     return AnalysisReport(
         n=ct.n,
-        n_prime=cocomponents(ct)[0].n,
-        t=len(cocomponents(ct)),
+        n_prime=n_prime,
+        t=len(cocomps),
         delta=delta,
         Delta=Delta,
-        kappa=kappa_cograph(ct),
+        kappa=ct.n - n_prime,
         lambda_=lam,
         connected=connected,
-        maximally_connected=is_maximally_connected(ct),
+        maximally_connected=_is_maximally_connected(cocomps),
         maximally_edge_connected=lam == delta,
-        super_edge_connected=is_super_edge_connected(ct),
+        super_edge_connected=_is_super_edge_connected(ct, cocomps, degs),
         ideally_connected=is_ideally_connected(ct),
         dirac=ct.n >= 3 and 2 * delta >= ct.n,
         super_by_convention=not connected,

@@ -98,7 +98,10 @@ def _load_graph(args) -> Graph:
     if args.expr:
         return materialize(parse_expression(args.expr))
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        # bytes that are not UTF-8 reach the parser as lone surrogates, as
+        # they do on stdin, and are reported as an EdgeListSyntaxError
+        with open(args.file, "r", encoding="utf-8",
+                  errors="surrogateescape") as handle:
             return read_edge_list(handle.read())
     return read_edge_list(sys.stdin.read())
 
@@ -232,6 +235,8 @@ def _run_gen(args) -> tuple[dict, int]:
         n, seed = int(n_text), int(seed_text)
     except ValueError:
         raise _UsageError("--random takes n,seed") from None
+    if n < 1:
+        raise _UsageError("--random needs n >= 1")
     ct = random_cotree(n, seed)
     return {"expression": format_expression(ct), "n": n, "seed": seed}, EXIT_OK
 

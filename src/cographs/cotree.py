@@ -289,35 +289,40 @@ class _P4Found(Exception):
         self.witness = witness
 
 
-def _co_components(G: Graph) -> list[tuple[int, ...]]:
-    """Components of the complement, computed without building it."""
-    unvisited = set(G.vertices)
+def _parts(G: Graph, S: set[int], complement: bool) -> list[set[int]]:
+    """Components of G[S] (of its complement when ``complement``).
+
+    Parts come in order of their smallest label; no subgraph is built.
+    """
+    unvisited = set(S)
     out = []
-    while unvisited:
-        start = min(unvisited)
+    for start in sorted(S):
+        if start not in unvisited:
+            continue
         unvisited.discard(start)
-        comp = {start}
+        part = {start}
         frontier = [start]
         while frontier:
-            v = frontier.pop()
-            grabbed = unvisited - G.neighbors(v)
+            near = G.neighbors(frontier.pop())
+            grabbed = unvisited - near if complement else unvisited & near
             unvisited -= grabbed
-            comp |= grabbed
+            part |= grabbed
             frontier.extend(grabbed)
-        out.append(tuple(sorted(comp)))
+        out.append(part)
     return out
 
 
-def _decompose(G: Graph) -> CotreeNode:
-    if G.n == 1:
-        return leaf(G.vertices[0])
-    comps = G.components()
+def _decompose(G: Graph, S: set[int]) -> CotreeNode:
+    """Cotree node of the subgraph of G induced by S."""
+    if len(S) == 1:
+        return leaf(next(iter(S)))
+    comps = _parts(G, S, complement=False)
     if len(comps) > 1:
-        return union([_decompose(induced_subgraph(G, c)) for c in comps])
-    cocomps = _co_components(G)
+        return union([_decompose(G, c) for c in comps])
+    cocomps = _parts(G, S, complement=True)
     if len(cocomps) > 1:
-        return join([_decompose(induced_subgraph(G, c)) for c in cocomps])
-    witness = find_induced_p4(G)
+        return join([_decompose(G, c) for c in cocomps])
+    witness = find_induced_p4(induced_subgraph(G, S))
     if witness is None:
         raise PostconditionFailedError(
             "connected co-connected graph must contain a P4")
@@ -327,7 +332,7 @@ def _decompose(G: Graph) -> CotreeNode:
 def cotree_from_graph(G: Graph) -> RecognitionResult:
     """Recognize a cograph; on failure return an induced-P4 witness."""
     try:
-        return RecognitionResult(cotree=Cotree(_decompose(G)))
+        return RecognitionResult(cotree=Cotree(_decompose(G, set(G.vertices))))
     except _P4Found as found:
         return RecognitionResult(witness=found.witness)
 

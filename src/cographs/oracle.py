@@ -32,6 +32,7 @@ __all__ = [
     "ProvenNone",
     "enumerate_subtree_embeddings",
     "exhaustive_keeping_search",
+    "has_induced_2k2",
     "min_edge_cuts",
     "residual_satisfies",
     "DEFAULT_EMBED_CAP",
@@ -129,6 +130,24 @@ def enumerate_subtree_embeddings(G: Graph, T: TreeShape,
             del assignment[t]
 
     yield from walk(0)
+
+
+def has_induced_2k2(G: Graph) -> bool:
+    """Two disjoint edges with no edge between them, by scanning edge pairs.
+
+    O(|E|^2); the independent check of
+    :func:`cographs.analysis.is_ideally_connected`, which reads the answer
+    off the cotree.
+    """
+    edges = sorted(G.edges)
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            if c in (a, b) or d in (a, b):
+                continue
+            if not (G.has_edge(a, c) or G.has_edge(a, d)
+                    or G.has_edge(b, c) or G.has_edge(b, d)):
+                return True
+    return False
 
 
 def residual_satisfies(G: Graph, residual: Graph, prop: Preserved) -> bool:

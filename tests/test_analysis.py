@@ -3,13 +3,15 @@
 import random
 
 import pytest
-from conftest import cograph_stream
+from conftest import all_graphs, cograph_stream, has_induced_p4_scan
 
 from cographs import (
     Graph,
     analyze,
     delete_edges,
     edge_connectivity_flow,
+    enumerate_cotrees,
+    has_induced_2k2,
     internally_disjoint_paths,
     is_ideally_connected,
     is_maximally_connected,
@@ -21,7 +23,7 @@ from cographs import (
     parse_expression,
     vertex_connectivity_flow,
 )
-from cographs.analysis import degrees
+from cographs.analysis import as_cotree, degrees
 from cographs.cotree import cocomponents
 from cographs.errors import NotACographError
 
@@ -113,6 +115,19 @@ class TestIdeallyConnected:
                 >= min(G.degree(u), G.degree(v))
                 for i, u in enumerate(G.vertices) for v in G.vertices[i + 1:])
             assert is_ideally_connected(ct) == truth
+
+    def test_matches_2k2_scan_on_every_small_cograph(self):
+        # every cograph through order 9 up to isomorphism, then every
+        # labeled cograph through order 6
+        for n in range(1, 10):
+            for ct in enumerate_cotrees(n):
+                assert is_ideally_connected(ct) == (
+                    not has_induced_2k2(materialize(ct)))
+        for n in range(1, 7):
+            for G in all_graphs(n):
+                if not has_induced_p4_scan(G):
+                    assert is_ideally_connected(as_cotree(G)) == (
+                        not has_induced_2k2(G))
 
 
 class TestAnalyze:

@@ -1,10 +1,13 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
 from cographs.cli import main
+from cographs.cotree import materialize, parse_expression
+from cographs.graph import Graph, format_edge_list
 
 
 def run(capsys, *argv):
@@ -35,6 +38,12 @@ class TestAnalyze:
         path.write_text("4\n0 2\n0 3\n1 2\n1 3\n")
         code, payload = run_json(capsys, "analyze", "--file", str(path))
         assert code == 0 and payload["n"] == 4 and payload["kappa"] == 2
+
+    def test_file_not_utf8_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"\xff\xfe\n")
+        code, payload = run_json(capsys, "analyze", "--file", str(path))
+        assert code == 3 and payload["type"] == "EdgeListSyntaxError"
 
     def test_missing_file_is_io_error(self, capsys):
         code = main(["analyze", "--file", "/nonexistent/g.edges"])
@@ -163,6 +172,10 @@ class TestRejectedArguments:
         assert main(["embed", "--theorem", "th2", "--tree", "path:2",
                      "--tree2", "path:3", "--expr", "(K3|K3)+(K1|K1)"]) == 1
 
+    def test_random_order_below_one_is_usage_error(self, capsys):
+        assert main(["gen", "--random", "0,1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     @pytest.mark.parametrize("text", ["x\n", "3\n0 1 2\n"])
     def test_malformed_edge_list_exits_3(self, capsys, monkeypatch, text):
         import io
@@ -178,3 +191,51 @@ class TestRejectedArguments:
             capsys, "embed", "--theorem", "th1", "-k", "1",
             "--tree", "path:2", "--expr", "(K1|K1)+K2")
         assert code == 4 and payload["type"] == "PostconditionFailedError"
+
+
+def _threshold(n):
+    """Deepest threshold cograph: join and union alternate, one leaf a level."""
+    text = "(K1|K1)"
+    for depth in range(n - 2):
+        text = f"(K1+{text})" if depth % 2 == 0 else f"(K1|{text})"
+    return text
+
+
+def _near_cograph(expr, seed, toggles):
+    """The cograph of ``expr`` with some pairs toggled, labels shuffled."""
+    G = materialize(parse_expression(expr))
+    edges = set(G.edges)
+    for u, v in toggles:
+        edges ^= {(u, v)}
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestRecognizeGolden:
+    """Pinned witnesses: the failing part of the decomposition and the scan
+    order inside it decide which P4 is reported.  In the last two cases two
+    parts hold a P4 and the reported one is not the first in a full scan."""
+
+    @pytest.mark.parametrize("expr, seed, toggles, witness", [
+        (_threshold(24), 1, [(2, 20)], [0, 6, 8, 23]),
+        (_threshold(31), 2, [(5, 27)], [25, 1, 2, 27]),
+        ("((K2|K3)+(K1|(K2+(K1|K1|K2))))"
+         "|((K3|K1)+K2+(K1|(K2+(K1|(K1+(K1|K2))))))", 3, [(13, 22)],
+         [8, 3, 4, 20]),
+        ("((K1|K2)+(K1|K1|(K1+(K1|K2|(K1+(K1|K1))))))"
+         "+(K2|(K1+(K1|(K3+(K1|K1)))))+(K1|K1|K1)", 5, [(6, 20)],
+         [1, 4, 0, 20]),
+        ("(K2+(K1|K3|(K1+(K1|K2))))|(K1+(K2|(K1+(K1|K1))))"
+         "|((K1|K1)+(K1|(K2+(K1|K1|K1))))", 66, [(11, 14), (18, 21)],
+         [15, 20, 23, 19]),
+        ("((K2+(K1|K3|(K1+(K1|K2))))|K1|K2)+((K1+(K2|(K1+(K1|K1))))|K1)"
+         "+(K1|K1)", 78, [(14, 19), (6, 10)], [2, 11, 18, 20]),
+    ])
+    def test_witness(self, capsys, monkeypatch, expr, seed, toggles, witness):
+        import io
+        text = format_edge_list(_near_cograph(expr, seed, toggles))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run(capsys, "recognize", "-")
+        assert code == 3
+        assert out == json.dumps({"cograph": False, "witness": witness}) + "\n"

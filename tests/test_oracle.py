@@ -7,6 +7,7 @@ from cographs import (
     Graph,
     enumerate_subtree_embeddings,
     exhaustive_keeping_search,
+    has_induced_2k2,
     materialize,
     min_edge_cuts,
     named_tree,
@@ -145,3 +146,12 @@ class TestMinEdgeCuts:
             min_edge_cuts(Graph.complete(5))
         monkeypatch.setenv("COGRAPH_ORACLE_CAP", "20")
         assert min_edge_cuts(Graph.complete(5))
+
+
+class TestInduced2K2:
+    def test_examples(self):
+        assert has_induced_2k2(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        assert not has_induced_2k2(Graph.path(4))
+        assert not has_induced_2k2(Graph.cycle(4))
+        assert has_induced_2k2(Graph.path(5))
+        assert not has_induced_2k2(Graph.complete(5))
