@@ -129,12 +129,9 @@ def _is_maximally_connected(cocomps: list[Cotree]) -> bool:
                for c in cocomps)
 
 
-def _is_c4(ct: Cotree) -> bool:
-    root = ct.root
-    return (root.kind == JOIN and len(root.children) == 2
-            and all(c.kind == UNION and c.order == 2
-                    and all(g.kind == LEAF for g in c.children)
-                    for c in root.children))
+def _is_c4_degrees(degs: dict[int, int]) -> bool:
+    """C4 from its degree map: a 2-regular graph on four vertices is C4."""
+    return len(degs) == 4 and all(d == 2 for d in degs.values())
 
 
 def is_super_edge_connected(ct: Cotree) -> bool:
@@ -156,7 +153,7 @@ def _is_super_edge_connected(ct: Cotree, cocomps: list[Cotree],
         return True
     if not is_connected_cograph(ct):
         return sum(1 for d in degs.values() if d == 0) == 1
-    if _is_c4(ct):
+    if _is_c4_degrees(degs):
         return False
     if len(cocomps) == 2 and cocomps[1].n == 1:
         H = cocomps[0]

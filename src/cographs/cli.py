@@ -2,8 +2,8 @@
 
 One JSON object per invocation on standard output (``--pretty`` indents it);
 identical inputs produce byte-identical output.  Exit codes: 0 success,
-1 usage, 2 I/O, 3 domain error (not a cograph, bound violated, ...),
-4 postcondition failure.
+1 usage, 2 I/O, 3 domain error (not a cograph, bound violated, input
+nested too deeply, ...), 4 postcondition failure.
 """
 
 from __future__ import annotations
@@ -273,6 +273,11 @@ def main(argv=None) -> int:
         witness = getattr(exc, "witness", None)
         if witness is not None:
             payload["witness"] = list(witness)
+        code = EXIT_DOMAIN
+    except RecursionError as exc:
+        # parsing and recognition recurse once per nesting level
+        payload = {"error": f"input is nested too deeply: {exc}",
+                   "type": type(exc).__name__}
         code = EXIT_DOMAIN
     indent = 2 if args.pretty else None
     print(json.dumps(payload, indent=indent))

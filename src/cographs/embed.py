@@ -3,10 +3,13 @@
 Each public ``keep_*`` operation realizes one existence theorem: it checks
 the theorem's exact minimum-degree bound (never attempting best-effort runs
 below it), builds the subtree copy along the proof's case analysis with all
-choices smallest-label-first, and re-verifies the claimed property on the
-residual through an independent path (cotree recomputation for cograph
-residuals, the flow oracle for edge-deleted residuals).  A verification
-failure raises :class:`~cographs.errors.PostconditionFailedError`, which
+choices smallest-label-first (placements come from the shared search
+:func:`cographs.embedding._placements`), and checks every result twice
+before returning it: as a copy of the tree (injective, every tree edge on a
+graph edge), and on its residual through an independent path (cotree
+recomputation for cograph residuals, the flow oracle for edge-deleted
+residuals).  A failed check raises
+:class:`~cographs.errors.PostconditionFailedError`, which
 signals an implementation bug, never bad input.
 """
 
@@ -16,6 +19,7 @@ from collections import deque
 
 from .analysis import (
     _delta,
+    _is_c4_degrees,
     as_cotree,
     as_graph_and_cotree,
     is_connected_cograph,
@@ -31,6 +35,7 @@ from .embedding import (
     DisjointPair,
     Embedding,
     Preserved,
+    _placements,
     exact_kappa,
     k_connected,
     k_edge_connected,
@@ -76,75 +81,34 @@ def _require(condition: bool, message: str) -> None:
 
 # -- generic tree placement -----------------------------------------------------
 
-def _placement_order(T: TreeShape, placed: set[int]) -> list[tuple[int, int | None]]:
-    """Order for the missing tree vertices; each follows its unique placed
-    neighbor (the placed set stays connected, so the parent is unique)."""
-    placed = set(placed)
-    order: list[tuple[int, int | None]] = []
-    if not placed:
-        root = min(T.tree.vertices)
-        order.append((root, None))
-        placed.add(root)
-    while len(placed) < T.order:
-        candidates = [v for v in T.tree.vertices
-                      if v not in placed and any(w in placed
-                                                 for w in T.tree.neighbors(v))]
-        v = min(candidates)
-        parent = min(w for w in T.tree.neighbors(v) if w in placed)
-        order.append((v, parent))
-        placed.add(v)
-    return order
-
-
 def _embed_mapping(G: Graph, T: TreeShape, allowed,
                    partial: dict[int, int] | None = None) -> dict[int, int]:
-    """Deterministic smallest-label-first placement with backtracking.
+    """First placement of :func:`~cographs.embedding._placements`.
 
     Under the degree preconditions of the callers the first choice always
     works and no backtracking happens; the search is kept complete so that
     tight instances (star into K_{1,3}) still embed when possible.
     """
     allowed = set(allowed)
-    assignment = dict(partial or {})
-    if assignment:
-        dom = set(assignment)
+    if partial:
+        dom = set(partial)
         sub = induced_subgraph(T.tree, dom)
         if len(sub.edges) != len(dom) - 1 or not sub.is_connected():
             raise ValueError("partial embedding domain is not a subtree")
-        if len(set(assignment.values())) != len(assignment):
+        if len(set(partial.values())) != len(partial):
             raise ValueError("partial embedding is not injective")
         for u, v in sub.edges:
-            if not G.has_edge(assignment[u], assignment[v]):
+            if not G.has_edge(partial[u], partial[v]):
                 raise ValueError("partial embedding does not preserve edges")
-        for g in assignment.values():
+        for g in partial.values():
             if g not in allowed:
                 raise ValueError("partial embedding leaves the allowed set")
-    order = _placement_order(T, set(assignment))
-    used = set(assignment.values())
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        t, parent = order[i]
-        if parent is None:
-            candidates = sorted(allowed - used)
-        else:
-            candidates = sorted((G.neighbors(assignment[parent]) & allowed)
-                                - used)
-        for c in candidates:
-            assignment[t] = c
-            used.add(c)
-            if backtrack(i + 1):
-                return True
-            used.discard(c)
-            del assignment[t]
-        return False
-
-    if not backtrack(0):
+    mapping = next(_placements(G, T, allowed, partial), None)
+    if mapping is None:
         raise DegreeTooLowError(
             f"no embedding of a {T.order}-vertex tree into the "
             f"{len(allowed)}-vertex allowed set")
-    return assignment
+    return mapping
 
 
 def greedy_embed(G: Graph, T: TreeShape, allowed=None) -> Embedding:
@@ -211,14 +175,6 @@ def _bfs_prefix(T: TreeShape, size: int) -> list[int]:
     return seen
 
 
-def _tree_leaf_and_support(T: TreeShape) -> tuple[int, int | None]:
-    """Smallest-label leaf of T and its unique neighbor (None when m = 1)."""
-    leaf = min(v for v in T.tree.vertices if T.tree.degree(v) <= 1)
-    if T.order == 1:
-        return leaf, None
-    return leaf, min(T.tree.neighbors(leaf))
-
-
 def _split_primary(ct: Cotree) -> tuple[set[int], list[int], list[Cotree]]:
     """(labels of G1, sorted labels of S, all cocomponents, G1 first)."""
     parts = cocomponents(ct)
@@ -268,14 +224,24 @@ def _closed_form_holds(rct: Cotree, prop: Preserved) -> bool:
 
 def _verified(G: Graph, result: Embedding | DisjointPair,
               oracle_max_n: int = 0) -> Embedding | DisjointPair:
-    """Re-check the property ``result`` is tagged with on its residual.
+    """Check that ``result`` is a copy of its tree in G, then re-check the
+    property it is tagged with on its residual.
 
-    A vertex-deleted residual is an induced subgraph, hence a cograph: it
-    is recognized once and judged by the closed form, and also by the
+    Every embedding (both of a pair) must pass :meth:`Embedding.check`.  A
+    vertex-deleted residual is an induced subgraph, hence a cograph: it is
+    recognized once and judged by the closed form, and also by the
     flow/cut oracle when it has at most ``oracle_max_n`` vertices.  An
     edge-deleted residual need not be a cograph, so the oracle judges it.
     """
-    head = getattr(result, "first", result)
+    embeddings = ((result.first, result.second)
+                  if isinstance(result, DisjointPair) else (result,))
+    for emb in embeddings:
+        try:
+            emb.check(G)
+        except ValueError as exc:
+            raise PostconditionFailedError(
+                f"result is not a copy of the tree: {exc}") from exc
+    head = embeddings[0]
     prop = head.preserved
     residual = result.residual(G)
     if head.mode is DeleteMode.VERTEX:
@@ -616,11 +582,6 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
 _SUPER_BRUTE_CAP = 12
 
 
-def _is_c4_graph(G: Graph) -> bool:
-    return (G.n == 4 and len(G.edges) == 4
-            and all(G.degree(v) == 2 for v in G.vertices))
-
-
 def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     """Subtree copy whose vertex deletion keeps G super edge-connected.
 
@@ -636,19 +597,14 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
         mapping = _try_embed(_embed_mapping, G, T, G.vertices)
     elif len(s) >= 2:
         mapping = _keep_vertex_connectivity_mapping(G, ct, T, 2)
-        residual = delete_vertices(G, set(mapping.values()))
-        if _is_c4_graph(residual):
+        image = set(mapping.values())
+        residual = delete_vertices(G, image)
+        if _is_c4_degrees({v: residual.degree(v) for v in residual.vertices}):
             # swap one leaf into the primary cocomponent to kill the C4
-            image = set(mapping.values())
             _require(not (image & g1),
                      "a C4 residual forces the tree outside the primary part")
-            z_t, support = _tree_leaf_and_support(T)
-            x = min(g1 - image)
-            if support is not None:
-                _require(G.has_edge(mapping[support], x),
-                         "leaf swap lost edge preservation")
             mapping = dict(mapping)
-            mapping[z_t] = x
+            mapping[T.root()] = min(g1 - image)
     else:
         mapping = _super_single_join_vertex(G, ct, T, parts)
 
@@ -683,7 +639,8 @@ def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
         big = next(c for c in prim_comps if c.n >= 2)
         return {t_root: min(big.labels)}
 
-    leaf_t, support_t = _tree_leaf_and_support(T)
+    leaf_t = T.root()
+    (support_t,) = T.tree.neighbors(leaf_t)
     sp_edges = sorted((u, v) for u, v in G.edges if u in sp and v in sp)
     prim_edges = sorted((u, v) for u, v in G.edges
                         if u in prim_labels and v in prim_labels)
@@ -721,26 +678,10 @@ def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
         _require(bool(spare), "no spare vertex for the leaf swap")
         mapping = dict(mapping)
         mapping[leaf_t] = spare[0]
-        _require(G.has_edge(w_img, spare[0]), "leaf swap lost edge preservation")
     return mapping
 
 
 # -- edge connectivity keeping tree, edge deletion ---------------------------------------
-
-def _connected_without(G: Graph, removed: set[int]) -> bool:
-    keep = [v for v in G.vertices if v not in removed]
-    if not keep:
-        return False
-    seen = {keep[0]}
-    queue = deque([keep[0]])
-    while queue:
-        v = queue.popleft()
-        for w in G.neighbors(v):
-            if w not in removed and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(keep)
-
 
 def _smallest_cross_tree_edge(T: TreeShape) -> tuple[int, int]:
     """Smallest tree edge ordered (larger-class endpoint, smaller-class)."""
@@ -764,11 +705,11 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
         return _try_embed(_embed_mapping, G, T, G.vertices)
 
     mapping = _try_embed(_embed_mapping, G, T, G.vertices)
-    if _connected_without(G, _class_image(T, mapping, 1)):
+    v2_img = _class_image(T, mapping, 1)
+    if delete_vertices(G, v2_img).is_connected():
         return mapping
 
     # the smaller class swallowed everything outside one cocomponent
-    v2_img = _class_image(T, mapping, 1)
     host = None
     for part in parts:
         if set(ct.labels) - set(part.labels) <= v2_img:
@@ -785,12 +726,13 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
         u, v = s_edges[0]
         partial = {a_t: u, b_t: v}
         mapping = _try_embed(_embed_mapping, G, T, G.vertices, partial=partial)
-        _require(_connected_without(G, _class_image(T, mapping, 1)),
+        _require(delete_vertices(G, _class_image(T, mapping, 1)).is_connected(),
                  "re-rooted embedding still disconnects the graph")
         return mapping
 
     if len(s) >= 2:
-        leaf_t, support_t = _tree_leaf_and_support(T)
+        leaf_t = T.root()
+        (support_t,) = T.tree.neighbors(leaf_t)
         w, z = s[0], s[1]
         rest = _subtree_shape(T, [t for t in T.tree.vertices if t != leaf_t])
         partial = _try_embed(_embed_mapping, G, rest,
@@ -801,7 +743,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
         mapping[leaf_t] = spare[0]
         v2_img = _class_image(T, mapping, 1)
         _require(not (g1 <= v2_img), "the smaller class swallowed the primary part")
-        _require(_connected_without(G, v2_img),
+        _require(delete_vertices(G, v2_img).is_connected(),
                  "spare-vertex embedding still disconnects the graph")
         return mapping
 

@@ -4,12 +4,18 @@ An :class:`Embedding` maps every vertex of a :class:`~cographs.graph.TreeShape`
 to a distinct graph vertex so that tree edges land on graph edges.  The
 ``mode`` says what gets deleted (the image vertices, or the image edges) and
 ``preserved`` names the property the deletion is claimed to keep.
+
+:func:`_placements` is the one placement search: it yields every way to
+place a tree inside an allowed vertex set, smallest labels first.  The
+constructions in :mod:`cographs.embed` take its first placement and
+:func:`cographs.oracle.enumerate_subtree_embeddings` takes all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .graph import Graph, TreeShape, delete_edges, delete_vertices
 
@@ -60,6 +66,67 @@ def super_edge_connected() -> Preserved:
 
 def exact_kappa(k: int) -> Preserved:
     return Preserved("exact_kappa", k)
+
+
+def _placement_order(T: TreeShape, placed) -> list[tuple[int, int | None]]:
+    """Order for the missing tree vertices; each follows its unique placed
+    neighbor (the placed set stays connected, so the parent is unique)."""
+    placed = set(placed)
+    order: list[tuple[int, int | None]] = []
+    if not placed:
+        root = min(T.tree.vertices)
+        order.append((root, None))
+        placed.add(root)
+    while len(placed) < T.order:
+        v = min(u for u in T.tree.vertices
+                if u not in placed and any(w in placed
+                                           for w in T.tree.neighbors(u)))
+        parent = min(w for w in T.tree.neighbors(v) if w in placed)
+        order.append((v, parent))
+        placed.add(v)
+    return order
+
+
+def _placements(G: Graph, T: TreeShape, allowed,
+                partial: dict[int, int] | None = None) -> Iterator[dict[int, int]]:
+    """Every extension of ``partial`` to a placement of T inside ``allowed``.
+
+    Depth-first and smallest-label-first: the tree vertices are placed in
+    :func:`_placement_order`, each on an unused allowed vertex (a neighbor
+    of its parent's image), trying candidates in increasing label order.
+    ``partial`` must already be a valid placement of a subtree of T.
+    Each item is a fresh dict.
+    """
+    allowed = frozenset(allowed)
+    assignment = dict(partial or {})
+    order = _placement_order(T, assignment)
+    used = set(assignment.values())
+    if not order:
+        yield dict(assignment)
+        return
+
+    def candidates(i: int) -> Iterator[int]:
+        parent = order[i][1]
+        if parent is not None:
+            return iter(sorted((G.neighbors(assignment[parent]) & allowed)
+                               - used))
+        return iter(sorted(allowed - used))
+
+    stack = [candidates(0)]  # one candidate iterator per level being placed
+    while stack:
+        t = order[len(stack) - 1][0]
+        if t in assignment:
+            used.discard(assignment.pop(t))
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            continue
+        assignment[t] = c
+        used.add(c)
+        if len(stack) == len(order):
+            yield dict(assignment)
+        else:
+            stack.append(candidates(len(stack)))
 
 
 @dataclass(frozen=True)

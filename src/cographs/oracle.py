@@ -6,6 +6,10 @@ an agreement between a constructive routine and an exhaustive search here is
 genuine evidence.  Size caps are explicit parameters with conservative
 defaults (overridable through the ``COGRAPH_ORACLE_CAP`` environment
 variable) and raise hard errors instead of silently truncating.
+
+Subtree copies come from :func:`cographs.embedding._placements`, the one
+placement search, which the constructions in :mod:`cographs.embed` also use;
+the tests check that search against a brute force over vertex sequences.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .embedding import DeleteMode, Embedding, Preserved
+from .embedding import DeleteMode, Embedding, Preserved, _placements
 from .errors import DisconnectedError, TooLargeError
 from .graph import (
     Graph,
@@ -77,59 +81,23 @@ def enumerate_subtree_embeddings(G: Graph, T: TreeShape,
                                  cap: int | None = None) -> Iterator[Embedding]:
     """Every copy of T in G exactly once (distinct vertex+edge image sets).
 
-    Embeddings that differ only by an automorphism of T are collapsed to one
-    representative; the stream order is deterministic.
+    Walks every placement of :func:`cographs.embedding._placements`, the
+    search the constructions also use, and keeps the first placement of
+    each image, so embeddings that differ only by an automorphism of T are
+    collapsed to one representative; the stream order is deterministic.
     """
     cap = _resolve_cap(cap, DEFAULT_EMBED_CAP)
     if G.n > cap:
         raise TooLargeError(f"graph order {G.n} exceeds the cap {cap}")
     if T.order > G.n:
         return
-    order: list[tuple[int, int | None]] = []
-    placed: set[int] = set()
-    root = min(T.tree.vertices)
-    order.append((root, None))
-    placed.add(root)
-    while len(placed) < T.order:
-        v = min(u for u in T.tree.vertices
-                if u not in placed and any(w in placed
-                                           for w in T.tree.neighbors(u)))
-        parent = next(w for w in T.tree.neighbors(v) if w in placed)
-        order.append((v, parent))
-        placed.add(v)
-
     seen: set[tuple[frozenset[int], frozenset[tuple[int, int]]]] = set()
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def canonical(mapping: dict[int, int]):
-        verts = frozenset(mapping.values())
-        edges = frozenset(
-            (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-            for u, v in T.tree.edges)
-        return verts, edges
-
-    def walk(i: int) -> Iterator[Embedding]:
-        if i == len(order):
-            key = canonical(assignment)
-            if key not in seen:
-                seen.add(key)
-                yield Embedding.from_mapping(T, assignment)
-            return
-        t, parent = order[i]
-        if parent is None:
-            candidates = [v for v in G.vertices if v not in used]
-        else:
-            candidates = sorted(v for v in G.neighbors(assignment[parent])
-                                if v not in used)
-        for c in candidates:
-            assignment[t] = c
-            used.add(c)
-            yield from walk(i + 1)
-            used.discard(c)
-            del assignment[t]
-
-    yield from walk(0)
+    for mapping in _placements(G, T, G.vertices):
+        emb = Embedding.from_mapping(T, mapping)
+        key = (emb.image, frozenset(emb.graph_edges()))
+        if key not in seen:
+            seen.add(key)
+            yield emb
 
 
 def has_induced_2k2(G: Graph) -> bool:

@@ -23,8 +23,8 @@ from cographs import (
     parse_expression,
     vertex_connectivity_flow,
 )
-from cographs.analysis import as_cotree, degrees
-from cographs.cotree import cocomponents
+from cographs.analysis import _is_c4_degrees, as_cotree, degrees
+from cographs.cotree import cocomponents, format_expression
 from cographs.errors import NotACographError
 
 
@@ -93,6 +93,14 @@ class TestSuperEdgeConnected:
             G = materialize(ct)
             truth = all(c.isolates is not None for c in min_edge_cuts(G))
             assert is_super_edge_connected(ct) == truth
+
+    def test_c4_degree_rule_picks_out_only_c4(self):
+        # four vertices of degree 2: among all cographs of order <= 8 the
+        # rule holds for the 4-cycle alone
+        hits = [format_expression(ct)
+                for n in range(1, 9) for ct in enumerate_cotrees(n)
+                if _is_c4_degrees(degrees(ct))]
+        assert hits == ["(K1|K1)+(K1|K1)"]
 
     def test_disconnected_convention(self):
         # exactly one isolated vertex: super by convention

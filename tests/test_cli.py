@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -192,6 +193,34 @@ class TestRejectedArguments:
             "--tree", "path:2", "--expr", "(K1|K1)+K2")
         assert code == 4 and payload["type"] == "PostconditionFailedError"
 
+    @pytest.mark.parametrize("mapping", [{0: 0, 1: 1}, {0: 2, 1: 2}])
+    def test_non_copy_exits_4(self, capsys, monkeypatch, mapping):
+        # no tree edge on a graph edge, then a map that is not injective
+        import cographs.embed as embed_module
+        monkeypatch.setattr(embed_module, "_keep_vertex_connectivity_mapping",
+                            lambda G, ct, T, k: dict(mapping))
+        code, payload = run_json(
+            capsys, "embed", "--theorem", "th1", "-k", "1",
+            "--tree", "path:2", "--expr", "(K1|K1)+K2")
+        assert code == 4 and payload["type"] == "PostconditionFailedError"
+        assert payload["error"].startswith("result is not a copy of the tree")
+
+    def test_deep_edge_list_exits_3(self, capsys, monkeypatch):
+        # 700-vertex threshold graph: each even vertex dominates the ones
+        # before it, so the cotree is 700 levels deep
+        import io
+        n = 700
+        lines = [str(n)] + [f"{j} {i}" for i in range(2, n, 2)
+                            for j in range(i)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code, payload = run_json(capsys, "recognize", "-")
+        assert code == 3 and payload["type"] == "RecursionError"
+
+    def test_deep_expression_exits_3(self, capsys):
+        expr = "(" * 600 + "K1" + ")" * 600
+        code, payload = run_json(capsys, "analyze", "--expr", expr)
+        assert code == 3 and payload["type"] == "RecursionError"
+
 
 def _threshold(n):
     """Deepest threshold cograph: join and union alternate, one leaf a level."""
@@ -239,3 +268,128 @@ class TestRecognizeGolden:
         code, out = run(capsys, "recognize", "-")
         assert code == 3
         assert out == json.dumps({"cograph": False, "witness": witness}) + "\n"
+
+
+def _two_hubs(adjacent):
+    """(K3|K3)+K1+K1, or +(K1|K1) when the hubs are not adjacent, labeled so
+    that the first greedy path:5 puts its smaller class on the two hubs
+    (labels 1 and 3), whose deletion disconnects the graph."""
+    A, B, hubs = [0, 6, 7], [2, 4, 5], [1, 3]
+    edges = [(a, b) for part in (A, B) for a, b in combinations(part, 2)]
+    edges += [(h, v) for h in hubs for v in A + B]
+    if adjacent:
+        edges.append((1, 3))
+    return format_edge_list(Graph.from_edges(8, edges))
+
+
+class TestEmbedGolden:
+    """Pinned stdout of ``cograph embed``: every theorem, the flow branch of
+    the residual report, both leaf swaps of superkeep, both repairs of th5
+    and one refusal.  ``hubs`` selects a :func:`_two_hubs` edge list on
+    stdin in place of ``--expr``."""
+
+    CASES = [
+        # th1, medium primary case
+        ('--theorem th1 -k 2 --tree path:3 --expr (K2|K2|K1)+K2+K3', None, 0,
+         '{"mode": "vertex", "preserved": "k_connected(2)", '
+         '"map": [[0, 0], [1, 1], [2, 7]], '
+         '"residual": {"cograph": true, "n": 7, "n_prime": 3, "t": 5, '
+         '"delta": 4, "Delta": 6, "kappa": 4, "lambda": 4, '
+         '"connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": true, '
+         '"dirac": true, "super_by_convention": false}}\n'),
+        # th2
+        ('--theorem th2 --tree path:2 --tree2 star:2 --expr (K3|K3)+(K1|K1)', None, 0,
+         '{"first": {"mode": "vertex", "preserved": "exact_kappa(2)", '
+         '"map": [[0, 0], [1, 1]]}, "second": {"mode": "vertex", '
+         '"preserved": "exact_kappa(2)", "map": [[0, 3], [1, 4]]}, '
+         '"residual": {"cograph": true, "n": 4, "n_prime": 2, "t": 2, '
+         '"delta": 2, "Delta": 2, "kappa": 2, "lambda": 2, '
+         '"connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": false, "ideally_connected": true, '
+         '"dirac": true, "super_by_convention": false}}\n'),
+        # maxcon
+        ('--theorem maxcon --tree path:2 --expr (K1|K2|K1)+(K1|K1)+K1', None, 0,
+         '{"mode": "vertex", "preserved": "maximally_connected", '
+         '"map": [[0, 4], [1, 1]], "residual": {"cograph": true, '
+         '"n": 5, "n_prime": 3, "t": 3, "delta": 2, "Delta": 4, '
+         '"kappa": 2, "lambda": 2, "connected": true, '
+         '"maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": true, '
+         '"dirac": false, "super_by_convention": false}}\n'),
+        # th3, residual not a cograph
+        ('--theorem th3 -k 2 --tree star:3 --expr (K1|K1)+K2+(K1|K2)', None, 0,
+         '{"mode": "edge", "preserved": "k_connected(2)", '
+         '"map": [[0, 2], [1, 3], [2, 4]], '
+         '"residual": {"cograph": false, "n": 7, "delta": 3, '
+         '"kappa": 3, "lambda": 3}}\n'),
+        # th4
+        ('--theorem th4 --tree path:3 --expr (K3|K3)+K1', None, 0,
+         '{"first": {"mode": "edge", "preserved": "exact_kappa(1)", '
+         '"map": [[0, 0], [1, 1], [2, 2]]}, "second": {"mode": "edge", '
+         '"preserved": "exact_kappa(1)", '
+         '"map": [[0, 3], [1, 4], [2, 5]]}, '
+         '"residual": {"cograph": true, "n": 7, "n_prime": 6, "t": 2, '
+         '"delta": 1, "Delta": 6, "kappa": 1, "lambda": 1, '
+         '"connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": false, '
+         '"dirac": false, "super_by_convention": false}}\n'),
+        # th6
+        ('--theorem th6 -k 2 --tree path:3 --expr (K1|K2)+K5', None, 0,
+         '{"mode": "vertex", "preserved": "k_edge_connected(2)", '
+         '"map": [[0, 3], [1, 0], [2, 5]], '
+         '"residual": {"cograph": true, "n": 5, "n_prime": 1, "t": 5, '
+         '"delta": 4, "Delta": 4, "kappa": 4, "lambda": 4, '
+         '"connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": true, '
+         '"dirac": true, "super_by_convention": false}}\n'),
+        # superkeep, C4 leaf swap
+        ('--theorem superkeep --tree path:4 '
+         '--expr (K1|K1)+(K1|K1)+(K1|K1)+(K1|K1)', None, 0,
+         '{"mode": "vertex", "preserved": "super_edge_connected", '
+         '"map": [[0, 0], [1, 4], [2, 3], [3, 5]], '
+         '"residual": {"cograph": true, "n": 4, "n_prime": 2, "t": 3, '
+         '"delta": 2, "Delta": 3, "kappa": 2, "lambda": 2, '
+         '"connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": true, '
+         '"dirac": true, "super_by_convention": false}}\n'),
+        # superkeep, H + K1 leaf swap
+        ('--theorem superkeep --tree path:2 --expr (((K2|K2)+K1+K1)|K5)+K1', None, 0,
+         '{"mode": "vertex", "preserved": "super_edge_connected", '
+         '"map": [[0, 1], [1, 4]], "residual": {"cograph": true, '
+         '"n": 10, "n_prime": 9, "t": 2, "delta": 2, "Delta": 9, '
+         '"kappa": 1, "lambda": 2, "connected": true, '
+         '"maximally_connected": false, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": false, '
+         '"dirac": false, "super_by_convention": false}}\n'),
+        # th5, re-rooting (adjacent hubs)
+        ('--theorem th5 -k 1 --tree path:5 -', True, 0,
+         '{"mode": "edge", "preserved": "k_edge_connected(1)", '
+         '"map": [[0, 1], [1, 3], [2, 0], [3, 6], [4, 7]], '
+         '"residual": {"cograph": false, "n": 8, "delta": 2, '
+         '"kappa": 2, "lambda": 2}}\n'),
+        # th5, leaf surgery (nonadjacent hubs)
+        ('--theorem th5 -k 1 --tree path:5 -', False, 0,
+         '{"mode": "edge", "preserved": "k_edge_connected(1)", '
+         '"map": [[0, 2], [1, 3], [2, 0], [3, 6], [4, 7]], '
+         '"residual": {"cograph": false, "n": 8, "delta": 2, '
+         '"kappa": 2, "lambda": 2}}\n'),
+        # refusal below the bound
+        ('--theorem th1 -k 2 --tree path:3 --expr (K1|K1)+K2', None, 3,
+         '{"error": "case small_primary needs delta >= 5, got 2", '
+         '"type": "BoundViolatedError"}\n'),
+    ]
+
+    @pytest.mark.parametrize("argv, hubs, code, out", CASES)
+    def test_stdout(self, capsys, monkeypatch, argv, hubs, code, out):
+        import io
+        if hubs is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(_two_hubs(hubs)))
+        assert run(capsys, "embed", *argv.split()) == (code, out)

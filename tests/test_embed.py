@@ -523,6 +523,20 @@ class TestVerifier:
                            match=r"k_connected\(1\) \(closed form\)"):
             keep_vertex_connectivity(G, T, 1)
 
+    # On (K1|K1)+K2 both maps leave a connected residual, so only the check
+    # that the result is a copy of the tree can refuse them.
+    NON_COPIES = [({0: 0, 1: 1}, "tree edge"), ({0: 2, 1: 2}, "not injective")]
+
+    @pytest.mark.parametrize("mapping,reason", NON_COPIES)
+    def test_non_copy_is_refused(self, monkeypatch, mapping, reason):
+        G = G_of("(K1|K1)+K2")
+        T = named_tree("path:2")
+        monkeypatch.setattr(embed_module, "_keep_vertex_connectivity_mapping",
+                            lambda G, ct, T, k: dict(mapping))
+        with pytest.raises(PostconditionFailedError,
+                           match=f"not a copy of the tree: .*{reason}"):
+            keep_vertex_connectivity(G, T, 1)
+
     def test_oracle_route_refuses_an_overclaiming_tag(self):
         # An exhaustive search over small cographs found no placement that
         # breaks an edge-mode property under its bound, so the oracle route

@@ -1,7 +1,9 @@
 """Brute-force oracle: enumeration, exhaustive search, cut records."""
 
+from itertools import permutations
+
 import pytest
-from conftest import cograph_stream
+from conftest import all_graphs, cograph_stream
 
 from cographs import (
     Graph,
@@ -47,6 +49,27 @@ class TestEnumeration:
         second = [e.pairs for e in
                   enumerate_subtree_embeddings(G, named_tree("path:3"))]
         assert first == second
+
+    @pytest.mark.parametrize("spec", [f"{kind}:{m}" for kind in ("path", "star")
+                                      for m in range(1, 5)])
+    def test_images_match_brute_force(self, spec):
+        # The placement search is shared with the constructions, so it is
+        # checked here against every injective vertex sequence.
+        T = named_tree(spec)
+        tree_vertices = sorted(T.tree.vertices)
+        for n in range(1, 6):
+            for G in all_graphs(n):
+                stream = [(emb.image, frozenset(emb.graph_edges()))
+                          for emb in enumerate_subtree_embeddings(G, T)]
+                brute = set()
+                for seq in permutations(G.vertices, T.order):
+                    mp = dict(zip(tree_vertices, seq))
+                    if all(G.has_edge(mp[u], mp[v]) for u, v in T.tree.edges):
+                        brute.add((frozenset(seq), frozenset(
+                            (min(mp[u], mp[v]), max(mp[u], mp[v]))
+                            for u, v in T.tree.edges)))
+                assert len(stream) == len(set(stream))
+                assert set(stream) == brute, (spec, G.edges)
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
