@@ -3,7 +3,8 @@
 One JSON object per invocation on standard output (``--pretty`` indents it);
 identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 usage, 2 I/O, 3 domain error (not a cograph, bound violated, input
-nested too deeply, ...), 4 postcondition failure.
+nested too deeply, ...), 4 postcondition failure.  Under ``"residual"``,
+``embed`` prints the report its verifier made (``residual_report``).
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import json
 import sys
 
 from . import embed
-from .analysis import analyze, as_cotree
+from .analysis import analyze
 from .cotree import cotree_from_graph, format_expression, materialize, parse_expression
-from .embedding import DisjointPair, Embedding
 from .errors import CographError, PostconditionFailedError
 from .generators import named_tree, random_cotree, tight_example
 from .graph import (
@@ -25,7 +25,7 @@ from .graph import (
     read_edge_list,
     vertex_connectivity_flow,
 )
-from .oracle import DEFAULT_CUT_CAP, _resolve_cap, min_edge_cuts
+from .oracle import DEFAULT_CUT_CAP, min_edge_cuts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,21 +106,6 @@ def _load_graph(args) -> Graph:
     return read_edge_list(sys.stdin.read())
 
 
-def _residual_report(G: Graph, result: Embedding | DisjointPair) -> dict:
-    residual = result.residual(G)
-    recognition = cotree_from_graph(residual)
-    if recognition.cotree is not None:
-        report = analyze(recognition.cotree).to_dict()
-        return {"cograph": True, **report}
-    return {
-        "cograph": False,
-        "n": residual.n,
-        "delta": residual.min_degree(),
-        "kappa": vertex_connectivity_flow(residual),
-        "lambda": edge_connectivity_flow(residual),
-    }
-
-
 def _run_recognize(args) -> tuple[dict, int]:
     G = _load_graph(args)
     result = cotree_from_graph(G)
@@ -157,18 +142,14 @@ def _run_embed(args) -> tuple[dict, int]:
     elif args.tree2 is not None:
         raise _UsageError(f"--theorem {theorem} does not take --tree2")
     result = getattr(embed, name)(G, T, *extra)
-
-    payload = result.to_dict()
-    payload["residual"] = _residual_report(G, result)
-    return payload, EXIT_OK
+    return {**result.to_dict(), "residual": result.residual_report}, EXIT_OK
 
 
 def _run_verify(args) -> tuple[dict, int]:
     G = _load_graph(args)
-    ct = as_cotree(G)
-    report = analyze(ct)
-    cap = _resolve_cap(None, DEFAULT_CUT_CAP)
+    report = analyze(G)
     checks = []
+    skipped = {"ok": True, "skipped": True}
 
     kappa_flow = vertex_connectivity_flow(G)
     checks.append({"name": "closed_form_kappa_vs_flow",
@@ -181,16 +162,15 @@ def _run_verify(args) -> tuple[dict, int]:
     checks.append({"name": "maximally_connected_vs_flow",
                    "ok": report.maximally_connected
                    == (kappa_flow == report.delta)})
-    if report.connected and G.n <= cap:
+    if report.connected and G.n <= DEFAULT_CUT_CAP:
         cuts = min_edge_cuts(G)
         all_isolate = all(c.isolates is not None for c in cuts)
         checks.append({"name": "super_vs_min_cut_enumeration",
                        "ok": report.super_edge_connected == all_isolate,
                        "minimum_cut_size": cuts[0].size if cuts else None})
     else:
-        checks.append({"name": "super_vs_min_cut_enumeration",
-                       "ok": True, "skipped": True})
-    if G.n <= cap:
+        checks.append({"name": "super_vs_min_cut_enumeration", **skipped})
+    if G.n <= DEFAULT_CUT_CAP:
         ideal_truth = all(
             internally_disjoint_paths(G, u, v)
             >= min(G.degree(u), G.degree(v))
@@ -199,8 +179,7 @@ def _run_verify(args) -> tuple[dict, int]:
         checks.append({"name": "ideal_vs_disjoint_paths",
                        "ok": report.ideally_connected == ideal_truth})
     else:
-        checks.append({"name": "ideal_vs_disjoint_paths",
-                       "ok": True, "skipped": True})
+        checks.append({"name": "ideal_vs_disjoint_paths", **skipped})
 
     all_ok = all(c["ok"] for c in checks)
     return ({"checks": checks, "all_ok": all_ok},

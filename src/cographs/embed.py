@@ -6,20 +6,23 @@ below it), builds the subtree copy along the proof's case analysis with all
 choices smallest-label-first (placements come from the shared search
 :func:`cographs.embedding._placements`), and checks every result twice
 before returning it: as a copy of the tree (injective, every tree edge on a
-graph edge), and on its residual through an independent path (cotree
-recomputation for cograph residuals, the flow oracle for edge-deleted
-residuals).  A failed check raises
-:class:`~cographs.errors.PostconditionFailedError`, which
-signals an implementation bug, never bad input.
+graph edge, the trees of a pair disjoint), and on its residual, built and
+recognized once, through an independent path (closed form plus oracle for
+cograph residuals, flow for edge-deleted residuals).  The result carries
+that residual's report, which ``cograph embed`` prints.  A failed check
+raises :class:`~cographs.errors.PostconditionFailedError`, which signals an
+implementation bug, never bad input.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 from .analysis import (
     _delta,
     _is_c4_degrees,
+    analyze,
     as_cotree,
     as_graph_and_cotree,
     is_connected_cograph,
@@ -29,7 +32,15 @@ from .analysis import (
     is_super_edge_connected,
     kappa_cograph,
 )
-from .cotree import LEAF, UNION, Cotree, _complete_order, cocomponents, components
+from .cotree import (
+    LEAF,
+    UNION,
+    Cotree,
+    _complete_order,
+    cocomponents,
+    components,
+    cotree_from_graph,
+)
 from .embedding import (
     DeleteMode,
     DisjointPair,
@@ -54,7 +65,14 @@ from .errors import (
     PartTooSmallError,
     PostconditionFailedError,
 )
-from .graph import Graph, TreeShape, delete_vertices, induced_subgraph
+from .graph import (
+    Graph,
+    TreeShape,
+    delete_vertices,
+    edge_connectivity_flow,
+    induced_subgraph,
+    vertex_connectivity_flow,
+)
 from .oracle import residual_satisfies
 
 __all__ = [
@@ -222,36 +240,56 @@ def _closed_form_holds(rct: Cotree, prop: Preserved) -> bool:
     raise ValueError(f"unknown property kind {prop.kind!r}")
 
 
-def _verified(G: Graph, result: Embedding | DisjointPair,
-              oracle_max_n: int = 0) -> Embedding | DisjointPair:
-    """Check that ``result`` is a copy of its tree in G, then re-check the
-    property it is tagged with on its residual.
+def _flow_holds(prop: Preserved, report: dict) -> bool:
+    """The tag of an edge-deleted residual that is not a cograph (n >= 4, so
+    no K1 convention applies), judged on the flow values in its report."""
+    if prop.kind == "k_connected":
+        return report["kappa"] >= prop.k
+    if prop.kind == "k_edge_connected":
+        return report["lambda"] >= prop.k
+    if prop.kind == "exact_kappa":
+        return report["kappa"] == prop.k
+    raise ValueError(f"no flow judge for property kind {prop.kind!r}")
 
-    Every embedding (both of a pair) must pass :meth:`Embedding.check`.  A
-    vertex-deleted residual is an induced subgraph, hence a cograph: it is
-    recognized once and judged by the closed form, and also by the
-    flow/cut oracle when it has at most ``oracle_max_n`` vertices.  An
-    edge-deleted residual need not be a cograph, so the oracle judges it.
+
+def _verified(G: Graph, *embeddings: Embedding,
+              oracle_max_n: int = 0) -> Embedding | DisjointPair:
+    """The result made of ``embeddings`` (one, or a disjoint pair), checked
+    and carrying its ``residual_report``.
+
+    Each embedding must be a copy of its tree in G.  The residual is built
+    and recognized once.  A cograph residual is judged by the closed form
+    when vertex-deleted (and by the flow/cut oracle up to ``oracle_max_n``
+    vertices), by the oracle when edge-deleted.  Any other residual is
+    edge-deleted; one kappa and one lambda flow fill its report and judge it.
     """
-    embeddings = ((result.first, result.second)
-                  if isinstance(result, DisjointPair) else (result,))
-    for emb in embeddings:
-        try:
-            emb.check(G)
-        except ValueError as exc:
-            raise PostconditionFailedError(
-                f"result is not a copy of the tree: {exc}") from exc
     head = embeddings[0]
+    try:
+        for emb in embeddings:
+            emb.check(G)
+        result = DisjointPair(*embeddings) if len(embeddings) == 2 else head
+    except ValueError as exc:
+        raise PostconditionFailedError(
+            f"result is not a copy of the tree: {exc}") from exc
     prop = head.preserved
     residual = result.residual(G)
-    if head.mode is DeleteMode.VERTEX:
-        _require(_closed_form_holds(as_cotree(residual), prop),
-                 f"residual is not {prop.tag()} (closed form)")
-        if residual.n > oracle_max_n:
-            return result
-    _require(residual_satisfies(G, residual, prop),
-             f"residual is not {prop.tag()} (oracle)")
-    return result
+    rct = cotree_from_graph(residual).cotree
+    if rct is None:
+        report = {"cograph": False, "n": residual.n,
+                  "delta": residual.min_degree(),
+                  "kappa": vertex_connectivity_flow(residual),
+                  "lambda": edge_connectivity_flow(residual)}
+        _require(_flow_holds(prop, report),
+                 f"residual is not {prop.tag()} (flow)")
+    else:
+        if head.mode is DeleteMode.VERTEX:
+            _require(_closed_form_holds(rct, prop),
+                     f"residual is not {prop.tag()} (closed form)")
+        if head.mode is DeleteMode.EDGE or residual.n <= oracle_max_n:
+            _require(residual_satisfies(G, residual, prop),
+                     f"residual is not {prop.tag()} (oracle)")
+        report = {"cograph": True, **analyze(rct).to_dict()}
+    return replace(result, residual_report=report)
 
 
 def _try_embed(fn, *args, **kwargs):
@@ -360,7 +398,7 @@ def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
              "components do not retain ceil(kappa/2) vertices")
     emb1 = Embedding.from_mapping(T1, map1, DeleteMode.VERTEX, exact_kappa(kappa))
     emb2 = Embedding.from_mapping(T2, map2, DeleteMode.VERTEX, exact_kappa(kappa))
-    return _verified(G, DisjointPair(emb1, emb2))
+    return _verified(G, emb1, emb2)
 
 
 # -- maximal connectedness keeping tree ---------------------------------------------
@@ -479,14 +517,9 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
         covered += part.n
     _require(chosen is not None,
              "no prefix of alternate cocomponents covers the smaller class")
-    s2_set: set[int] = set()
-    for part in prefix_parts:
-        s2_set |= set(part.labels)
-    s2_set |= set(chosen.labels)
+    prefix_labels = sorted(v for part in prefix_parts for v in part.labels)
+    s2_set = set(prefix_labels) | set(chosen.labels)
     s1 = [v for v in s if v not in s2_set]
-    prefix_labels = sorted(set().union(*[set(part.labels)
-                                         for part in prefix_parts])
-                           if prefix_parts else set())
 
     if len(s1) >= len(v1):
         return _across_mapping(T, s1[:len(v1)], sorted(s2_set)[:len(v2)], G)
@@ -553,7 +586,7 @@ def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
         map2 = _try_embed(_embed_mapping, G, T2, comps[1].labels)
     emb1 = Embedding.from_mapping(T1, map1, DeleteMode.EDGE, exact_kappa(kappa))
     emb2 = Embedding.from_mapping(T2, map2, DeleteMode.EDGE, exact_kappa(kappa))
-    return _verified(G, DisjointPair(emb1, emb2))
+    return _verified(G, emb1, emb2)
 
 
 # -- edge connectivity keeping tree, vertex deletion ------------------------------------
@@ -701,10 +734,9 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
     if m == 1:
         return {T.tree.vertices[0]: min(G.vertices)}
     g1, s, parts = _split_primary(ct)
-    if len(g1) == 1:
-        return _try_embed(_embed_mapping, G, T, G.vertices)
-
     mapping = _try_embed(_embed_mapping, G, T, G.vertices)
+    if len(g1) == 1:
+        return mapping
     v2_img = _class_image(T, mapping, 1)
     if delete_vertices(G, v2_img).is_connected():
         return mapping

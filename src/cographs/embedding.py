@@ -3,7 +3,9 @@
 An :class:`Embedding` maps every vertex of a :class:`~cographs.graph.TreeShape`
 to a distinct graph vertex so that tree edges land on graph edges.  The
 ``mode`` says what gets deleted (the image vertices, or the image edges) and
-``preserved`` names the property the deletion is claimed to keep.
+``preserved`` names the property the deletion is claimed to keep.  The
+``residual_report`` of a ``keep_*`` result (outside ``==``, ``hash``,
+``repr`` and ``to_dict()``) is what its verifier found on the residual.
 
 :func:`_placements` is the one placement search: it yields every way to
 place a tree inside an allowed vertex set, smallest labels first.  The
@@ -13,7 +15,7 @@ constructions in :mod:`cographs.embed` take its first placement and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -137,6 +139,7 @@ class Embedding:
     pairs: tuple[tuple[int, int], ...]
     mode: DeleteMode = DeleteMode.VERTEX
     preserved: Preserved | None = None
+    residual_report: dict | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_mapping(cls, shape: TreeShape, mapping: dict[int, int],
@@ -196,6 +199,7 @@ class DisjointPair:
 
     first: Embedding
     second: Embedding
+    residual_report: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.first.image & self.second.image:

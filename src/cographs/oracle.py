@@ -3,9 +3,8 @@
 Nothing in this module consults the closed-form classifiers: residual
 properties are judged by the flow oracle and by explicit cut enumeration, so
 an agreement between a constructive routine and an exhaustive search here is
-genuine evidence.  Size caps are explicit parameters with conservative
-defaults (overridable through the ``COGRAPH_ORACLE_CAP`` environment
-variable) and raise hard errors instead of silently truncating.
+genuine evidence.  Size caps are ``cap`` parameters with conservative
+defaults and raise hard errors instead of silently truncating.
 
 Subtree copies come from :func:`cographs.embedding._placements`, the one
 placement search, which the constructions in :mod:`cographs.embed` also use;
@@ -14,8 +13,7 @@ the tests check that search against a brute force over vertex sequences.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterator
 
@@ -24,8 +22,6 @@ from .errors import DisconnectedError, TooLargeError
 from .graph import (
     Graph,
     TreeShape,
-    delete_edges,
-    delete_vertices,
     is_k_connected,
     is_k_edge_connected,
     vertex_connectivity_flow,
@@ -45,13 +41,6 @@ __all__ = [
 
 DEFAULT_EMBED_CAP = 14
 DEFAULT_CUT_CAP = 16
-
-
-def _resolve_cap(cap: int | None, default: int) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("COGRAPH_ORACLE_CAP")
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -78,7 +67,7 @@ class ProvenNone:
 
 
 def enumerate_subtree_embeddings(G: Graph, T: TreeShape,
-                                 cap: int | None = None) -> Iterator[Embedding]:
+                                 cap: int = DEFAULT_EMBED_CAP) -> Iterator[Embedding]:
     """Every copy of T in G exactly once (distinct vertex+edge image sets).
 
     Walks every placement of :func:`cographs.embedding._placements`, the
@@ -86,7 +75,6 @@ def enumerate_subtree_embeddings(G: Graph, T: TreeShape,
     each image, so embeddings that differ only by an automorphism of T are
     collapsed to one representative; the stream order is deterministic.
     """
-    cap = _resolve_cap(cap, DEFAULT_EMBED_CAP)
     if G.n > cap:
         raise TooLargeError(f"graph order {G.n} exceeds the cap {cap}")
     if T.order > G.n:
@@ -141,7 +129,7 @@ def residual_satisfies(G: Graph, residual: Graph, prop: Preserved) -> bool:
 
 def exhaustive_keeping_search(G: Graph, T: TreeShape, prop: Preserved,
                               mode: DeleteMode = DeleteMode.VERTEX,
-                              cap: int | None = None) -> Embedding | ProvenNone:
+                              cap: int = DEFAULT_EMBED_CAP) -> Embedding | ProvenNone:
     """First copy of T whose deletion leaves the property intact, if any.
 
     The return value is either an embedding tagged with the property or a
@@ -151,25 +139,21 @@ def exhaustive_keeping_search(G: Graph, T: TreeShape, prop: Preserved,
     examined = 0
     for emb in enumerate_subtree_embeddings(G, T, cap=cap):
         examined += 1
-        if mode is DeleteMode.VERTEX:
-            if len(emb.image) == G.n:
-                continue
-            residual = delete_vertices(G, emb.image)
-        else:
-            residual = delete_edges(G, emb.graph_edges())
-        if residual_satisfies(G, residual, prop):
-            return Embedding.from_mapping(T, emb.mapping, mode, prop)
+        if mode is DeleteMode.VERTEX and len(emb.image) == G.n:
+            continue
+        emb = replace(emb, mode=mode, preserved=prop)
+        if residual_satisfies(G, emb.residual(G), prop):
+            return emb
     return ProvenNone(examined=examined)
 
 
-def min_edge_cuts(G: Graph, cap: int | None = None) -> list[CutRecord]:
+def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
     """All minimum edge cuts of a connected graph, as bipartition sides.
 
     Sides are restricted to at most half the vertices; for an even split only
     the side containing the smallest vertex is reported, so each cut appears
     once.  ``isolates`` is set when the cut is exactly some vertex's star.
     """
-    cap = _resolve_cap(cap, DEFAULT_CUT_CAP)
     n = G.n
     if n > cap:
         raise TooLargeError(f"graph order {n} exceeds the cap {cap}")

@@ -100,3 +100,16 @@ def two_component_cograph(k: int, m: int, seed: int) -> Cotree:
     join_side = format_expression(random_cotree(k, rng.randrange(1 << 30),
                                                 join_bias=0.5))
     return parse_expression(f"(({parts[0]})|({parts[1]}))+({join_side})")
+
+
+def first_mapping_twice(real):
+    """Wrap ``embed._embed_mapping`` so that every call returns the mapping
+    of the first call: the two-tree theorems then build an overlapping pair."""
+    first = []
+
+    def fake(*args, **kwargs):
+        if not first:
+            first.append(real(*args, **kwargs))
+        return dict(first[0])
+
+    return fake

@@ -1,10 +1,15 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from conftest import first_mapping_twice
 
 from cographs.cli import main
 from cographs.cotree import materialize, parse_expression
@@ -121,6 +126,13 @@ class TestVerify:
         assert "closed_form_kappa_vs_flow" in names
         assert "super_vs_min_cut_enumeration" in names
 
+    def test_oracle_cap_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.delenv("COGRAPH_ORACLE_CAP", raising=False)
+        unset = run(capsys, "verify", "--expr", "K3")
+        monkeypatch.setenv("COGRAPH_ORACLE_CAP", "x")
+        assert run(capsys, "verify", "--expr", "K3") == unset
+        assert unset[0] == 0
+
 
 class TestGen:
     def test_tight(self, capsys):
@@ -205,6 +217,31 @@ class TestRejectedArguments:
         assert code == 4 and payload["type"] == "PostconditionFailedError"
         assert payload["error"].startswith("result is not a copy of the tree")
 
+    def test_overlapping_pair_exits_4(self, capsys, monkeypatch):
+        import cographs.embed as embed_module
+        monkeypatch.setattr(embed_module, "_embed_mapping",
+                            first_mapping_twice(embed_module._embed_mapping))
+        code, payload = run_json(capsys, *OVERLAPPING_PAIR)
+        assert code == 4 and payload["type"] == "PostconditionFailedError"
+        assert payload["error"].endswith("embeddings are not vertex-disjoint")
+
+    def test_overlapping_pair_exits_4_under_python_O(self):
+        # the refusal must not rest on assert statements
+        tests = Path(__file__).resolve().parent
+        script = (
+            "import sys\n"
+            "from conftest import first_mapping_twice\n"
+            "import cographs.embed as e\n"
+            "from cographs.cli import main\n"
+            "e._embed_mapping = first_mapping_twice(e._embed_mapping)\n"
+            f"sys.exit(main({list(OVERLAPPING_PAIR)!r}))\n")
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              cwd=tests, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 4, done.stderr
+        assert json.loads(done.stdout)["type"] == "PostconditionFailedError"
+
     def test_deep_edge_list_exits_3(self, capsys, monkeypatch):
         # 700-vertex threshold graph: each even vertex dominates the ones
         # before it, so the cotree is 700 levels deep
@@ -220,6 +257,10 @@ class TestRejectedArguments:
         expr = "(" * 600 + "K1" + ")" * 600
         code, payload = run_json(capsys, "analyze", "--expr", expr)
         assert code == 3 and payload["type"] == "RecursionError"
+
+
+OVERLAPPING_PAIR = ("embed", "--theorem", "th2", "--tree", "path:2",
+                    "--expr", "(K3|K3)+(K1|K1)")
 
 
 def _threshold(n):
@@ -284,8 +325,8 @@ def _two_hubs(adjacent):
 
 class TestEmbedGolden:
     """Pinned stdout of ``cograph embed``: every theorem, the flow branch of
-    the residual report, both leaf swaps of superkeep, both repairs of th5
-    and one refusal.  ``hubs`` selects a :func:`_two_hubs` edge list on
+    the residual report, both leaf swaps of superkeep, both repairs of th5,
+    the K1 and K2 conventions and one refusal.  ``hubs`` selects a :func:`_two_hubs` edge list on
     stdin in place of ``--expr``."""
 
     CASES = [
@@ -385,6 +426,27 @@ class TestEmbedGolden:
         ('--theorem th1 -k 2 --tree path:3 --expr (K1|K1)+K2', None, 3,
          '{"error": "case small_primary needs delta >= 5, got 2", '
          '"type": "BoundViolatedError"}\n'),
+        # K1 and K2 residuals, where conventions decide: lambda(K1) = 0 by
+        # flow, yet K1 counts as 1-edge-connected; K2 has no nonadjacent
+        # pair, so its kappa of 1 is the complete-graph convention
+        ('--theorem th5 -k 1 --tree path:1 --expr K1', None, 0,
+         '{"mode": "edge", "preserved": "k_edge_connected(1)", '
+         '"map": [[0, 0]], "residual": {"cograph": true, "n": 1, '
+         '"n_prime": 1, "t": 1, "delta": 0, "Delta": 0, "kappa": 0, '
+         '"lambda": 0, "connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": true, '
+         '"dirac": false, "super_by_convention": false}}\n'),
+        ('--theorem th4 --tree path:1 --expr K2', None, 0,
+         '{"first": {"mode": "edge", "preserved": "exact_kappa(1)", '
+         '"map": [[0, 0]]}, "second": {"mode": "edge", '
+         '"preserved": "exact_kappa(1)", "map": [[0, 1]]}, '
+         '"residual": {"cograph": true, "n": 2, "n_prime": 1, "t": 2, '
+         '"delta": 1, "Delta": 1, "kappa": 1, "lambda": 1, '
+         '"connected": true, "maximally_connected": true, '
+         '"maximally_edge_connected": true, '
+         '"super_edge_connected": true, "ideally_connected": true, '
+         '"dirac": false, "super_by_convention": false}}\n'),
     ]
 
     @pytest.mark.parametrize("argv, hubs, code, out", CASES)

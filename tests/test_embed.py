@@ -1,14 +1,18 @@
 """Constructive keeping-tree operations: examples, branches, verification."""
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
-from conftest import tree_for, two_component_cograph
+from conftest import first_mapping_twice, tree_for, two_component_cograph
 
 import cographs.embed as embed_module
 from cographs import (
     Graph,
+    edge_connectivity_flow,
     embed_across,
+    enumerate_cotrees,
     extend_embedding,
     greedy_embed,
     induced_subgraph,
@@ -29,16 +33,21 @@ from cographs import (
     random_cotree,
     vertex_connectivity_flow,
 )
-from cographs.analysis import degrees, kappa_cograph
-from cographs.cotree import cocomponents
+from cographs.analysis import analyze, degrees, kappa_cograph
+from cographs.cli import _THEOREMS
+from cographs.cotree import cocomponents, cotree_from_graph
 from cographs.embedding import (
     DeleteMode,
+    DisjointPair,
     Embedding,
+    exact_kappa,
+    k_connected,
     k_edge_connected,
     super_edge_connected,
 )
 from cographs.errors import (
     BoundViolatedError,
+    CographError,
     DegreeTooLowError,
     IsKmError,
     MissingCrossEdgeError,
@@ -482,6 +491,22 @@ class TestEmbeddingInvariants:
             assert len(emb.image) == m
 
 
+def _reference_report(G, result):
+    """The residual report recomputed from scratch: the residual is built,
+    recognized, and analyzed by the closed form or measured by flow."""
+    residual = result.residual(G)
+    recognition = cotree_from_graph(residual)
+    if recognition.cotree is not None:
+        return {"cograph": True, **analyze(recognition.cotree).to_dict()}
+    return {
+        "cograph": False,
+        "n": residual.n,
+        "delta": residual.min_degree(),
+        "kappa": vertex_connectivity_flow(residual),
+        "lambda": edge_connectivity_flow(residual),
+    }
+
+
 class TestVerifier:
     # Each call succeeds unpatched; together they reach every keep_* return.
     CALLS = [
@@ -494,6 +519,8 @@ class TestVerifier:
         (keep_edge_connectivity_vertex_delete, "K5", ("path:2", 2)),
         (keep_super_edge_connectivity, "K6", ("path:3",)),
         (keep_edge_connectivity_edge_delete, "K5", ("path:2", 2)),
+        # the edge-deleted residual is not a cograph: judged by _flow_holds
+        (keep_connectivity_edge_delete, "(K1|K1)+K2+(K1|K2)", ("star:3", 2)),
     ]
 
     @staticmethod
@@ -509,8 +536,80 @@ class TestVerifier:
                             lambda rct, prop: False)
         monkeypatch.setattr(embed_module, "residual_satisfies",
                             lambda G, residual, prop: False)
+        monkeypatch.setattr(embed_module, "_flow_holds",
+                            lambda prop, report: False)
         with pytest.raises(PostconditionFailedError):
             self.call(keep, expr, args)
+
+    # (K3|K2)+K1 minus the edge 0-5 is not a cograph: kappa 1, lambda 2
+    FLOW_TAGS = [(k_connected(1), True), (k_connected(2), False),
+                 (k_edge_connected(2), True), (k_edge_connected(3), False),
+                 (exact_kappa(1), True), (exact_kappa(2), False)]
+
+    @pytest.mark.parametrize("tag,holds", FLOW_TAGS,
+                             ids=[t.tag() for t, _ in FLOW_TAGS])
+    def test_flow_route_judges_kappa_and_lambda(self, tag, holds):
+        G = G_of("(K3|K2)+K1")
+        emb = Embedding.from_mapping(named_tree("path:2"), {0: 0, 1: 5},
+                                     DeleteMode.EDGE, tag)
+        if not holds:
+            with pytest.raises(PostconditionFailedError,
+                               match=re.escape(f"{tag.tag()} (flow)")):
+                embed_module._verified(G, emb)
+            return
+        assert embed_module._verified(G, emb).residual_report == {
+            "cograph": False, "n": 6, "delta": 2, "kappa": 1, "lambda": 2}
+
+    def test_report_matches_a_fresh_recomputation(self):
+        # every cograph of order <= 6, every theorem, trees path:1..3 and
+        # star:3, k in {1, 2}; the two-tree theorems take the same tree twice
+        trees = [named_tree(s)
+                 for s in ("path:1", "path:2", "path:3", "star:3")]
+        flow_reports = cograph_reports = 0
+        for n in range(1, 7):
+            for ct in enumerate_cotrees(n):
+                G = materialize(ct)
+                for name, takes_k, two_trees in _THEOREMS.values():
+                    keep = getattr(embed_module, name)
+                    for T in trees:
+                        for extra in ([[1], [2]] if takes_k
+                                      else [[T]] if two_trees else [[]]):
+                            try:
+                                result = keep(G, T, *extra)
+                            except CographError:
+                                continue
+                            report = result.residual_report
+                            assert report == _reference_report(G, result)
+                            if report["cograph"]:
+                                cograph_reports += 1
+                            else:
+                                flow_reports += 1
+        assert (cograph_reports, flow_reports) == (904, 49)
+
+    def test_report_leaves_identity_alone(self):
+        for keep, expr, args in (self.CALLS[0], self.CALLS[1], self.CALLS[9]):
+            result = self.call(keep, expr, args)
+            assert result.residual_report is not None
+            bare = replace(result, residual_report=None)
+            assert result == bare and hash(result) == hash(bare)
+            assert repr(result) == repr(bare)
+            assert result.to_dict() == bare.to_dict()
+
+    @pytest.mark.parametrize("keep", [keep_vertex_connectivity_two,
+                                      keep_connectivity_edge_delete_two])
+    def test_overlapping_pair_is_refused(self, keep, monkeypatch):
+        monkeypatch.setattr(embed_module, "_embed_mapping",
+                            first_mapping_twice(embed_module._embed_mapping))
+        T = named_tree("path:2")
+        with pytest.raises(PostconditionFailedError,
+                           match="not a copy of the tree: .*not vertex-disjoint"):
+            keep(G_of("(K3|K3)+(K1|K1)"), T, T)
+
+    def test_pair_constructor_raises_value_error(self):
+        emb = greedy_embed(G_of("K3"), named_tree("path:2"))
+        with pytest.raises(ValueError, match="not vertex-disjoint") as info:
+            DisjointPair(emb, emb)
+        assert type(info.value) is ValueError
 
     def test_vertex_mode_non_keeping_placement(self, monkeypatch):
         # Deleting the K2 side leaves two isolated vertices.

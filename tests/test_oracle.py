@@ -163,13 +163,6 @@ class TestMinEdgeCuts:
         with pytest.raises(TooLargeError):
             min_edge_cuts(Graph.complete(17))
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("COGRAPH_ORACLE_CAP", "4")
-        with pytest.raises(TooLargeError):
-            min_edge_cuts(Graph.complete(5))
-        monkeypatch.setenv("COGRAPH_ORACLE_CAP", "20")
-        assert min_edge_cuts(Graph.complete(5))
-
 
 class TestInduced2K2:
     def test_examples(self):
