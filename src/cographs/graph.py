@@ -8,7 +8,9 @@ are pure functions.
 
 Connectivity here is computed by maximum flow (Menger), deliberately
 independent of the closed forms in :mod:`cographs.analysis`; it is the
-ground-truth side of every dual-route check in the test suite.
+ground-truth side of every dual-route check in the test suite.  One routine,
+:func:`maximum_flow`, counts unit-capacity BFS augmenting paths over split
+vertices ``2v -> 2v+1`` or plain arcs; kappa uses Even's source bound.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import (
     EdgeListSyntaxError,
@@ -212,29 +210,52 @@ def delete_edges(G: Graph, F) -> Graph:
 
 # -- flow machinery -----------------------------------------------------------
 
-def _split_network(G: Graph):
-    """Unit-capacity split network: vertex v -> nodes (in=2i, out=2i+1).
-
-    Every internal arc and every edge arc has capacity 1, so the max flow
-    from ``out(u)`` to ``in(v)`` equals the number of internally disjoint
-    u-v paths, the direct edge (if any) counting as one path.
+def maximum_flow(G: Graph, s: int, t: int, split: bool, limit: int) -> int:
+    """Number of unit-capacity s-t paths, up to ``limit``: internally
+    vertex-disjoint with ``split`` (vertex v is the arc ``2v -> 2v+1``, edge
+    uv the arcs ``2u+1 -> 2v`` and ``2v+1 -> 2u``), edge-disjoint without.
+    The direct edge counts as one path.  The flow starts from it and the
+    paths through ``N(s) & N(t)``, then grows along BFS augmenting paths.
     """
-    index = {v: i for i, v in enumerate(G.vertices)}
-    rows, cols, caps = [], [], []
-    for v, i in index.items():
-        rows.append(2 * i)
-        cols.append(2 * i + 1)
-        caps.append(1)
-    for u, v in G.edges:
-        iu, iv = index[u], index[v]
-        rows += [2 * iu + 1, 2 * iv + 1]
-        cols += [2 * iv, 2 * iu]
-        caps += [1, 1]
-    mat = csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)),
-        shape=(2 * G.n, 2 * G.n),
-    )
-    return mat, index
+    adj = G._adj
+    source, sink = (2 * s + 1, 2 * t) if split else (s, t)
+    paths = [(source, sink)] if t in adj[s] else []
+    paths += [(source, 2 * w, 2 * w + 1, sink) if split else (s, w, t)
+              for w in adj[s] & adj[t]]
+    flow = {arc for path in paths[:limit] for arc in zip(path, path[1:])}
+    value = min(limit, len(paths))
+
+    def residual(x: int) -> list[int]:  # heads of arcs with capacity left
+        if not split:
+            return [y for y in adj[x] if (x, y) not in flow]
+        if x & 1:  # out-node of v: on to neighbours, or back into v if used
+            out = [2 * w for w in adj[x >> 1] if (x, 2 * w) not in flow]
+            return out + [x - 1] if (x - 1, x) in flow else out
+        if (x, x + 1) not in flow:  # in-node of an unused vertex
+            return [x + 1]
+        return [2 * u + 1 for u in adj[x >> 1] if (2 * u + 1, x) in flow]
+
+    while value < limit:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            x = queue.popleft()
+            for y in residual(x):
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            break
+        y = sink
+        while y != source:
+            x = parent[y]
+            if (y, x) in flow:
+                flow.remove((y, x))
+            else:
+                flow.add((x, y))
+            y = x
+        value += 1
+    return value
 
 
 def internally_disjoint_paths(G: Graph, u: int, v: int) -> int:
@@ -243,57 +264,41 @@ def internally_disjoint_paths(G: Graph, u: int, v: int) -> int:
         raise UnknownVertexError("endpoints must be distinct")
     if not (G.has_vertex(u) and G.has_vertex(v)):
         raise UnknownVertexError(f"unknown endpoint in ({u}, {v})")
-    mat, index = _split_network(G)
-    return int(maximum_flow(mat, 2 * index[u] + 1, 2 * index[v]).flow_value)
+    return maximum_flow(G, u, v, True, min(G.degree(u), G.degree(v)))
 
 
 def vertex_connectivity_flow(G: Graph) -> int:
-    """kappa(G) by max flow over all nonadjacent pairs.
+    """kappa(G) by max flow from the first ``kappa + 1`` vertices only.
 
     Returns 0 for the trivial graph and for disconnected graphs; complete
     graphs report ``n - 1`` by convention (no nonadjacent pair exists).
+
+    Some v_i of v_1 ... v_(kappa+1) is outside a minimum separator S; for the
+    first such i, S holds v_1 ... v_(i-1), so each vertex S cuts off from v_i
+    is a later, nonadjacent v_j with at most kappa disjoint paths to v_i
+    (Even 1975; Esfahanian & Hakimi 1984).  Sources run up to v_best for the
+    running minimum ``best``, which reaches v_(kappa+1) while best > kappa.
     """
-    n = G.n
-    if n == 1:
-        return 0
-    if not G.is_connected():
-        return 0
     if G.is_complete():
-        return n - 1
-    mat, index = _split_network(G)
-    best = n - 1
-    for u, v in combinations(G.vertices, 2):
-        if G.has_edge(u, v):
-            continue
-        flow = int(maximum_flow(mat, 2 * index[u] + 1, 2 * index[v]).flow_value)
-        if flow < best:
-            best = flow
-            if best == 0:
-                break
+        return G.n - 1
+    vs = G.vertices
+    best = G.min_degree()
+    i = 0
+    while i < best:
+        for v in vs[i + 1:]:
+            if not G.has_edge(vs[i], v):
+                best = maximum_flow(G, vs[i], v, True, best)
+        i += 1
     return best
 
 
 def edge_connectivity_flow(G: Graph) -> int:
-    """lambda(G) by unit-capacity max flow from a fixed source."""
-    n = G.n
-    if n == 1:
-        return 0
-    if not G.is_connected():
-        return 0
-    index = {v: i for i, v in enumerate(G.vertices)}
-    rows, cols, caps = [], [], []
-    for u, v in G.edges:
-        rows += [index[u], index[v]]
-        cols += [index[v], index[u]]
-        caps += [1, 1]
-    mat = csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(n, n)
-    )
-    source = G.vertices[0]
+    """lambda(G) by max flow from one source, each flow counted up to delta
+    or the smallest value found so far; 0 for the trivial graph (delta is 0)
+    and for disconnected graphs (some flow is 0)."""
     best = G.min_degree()
     for v in G.vertices[1:]:
-        flow = int(maximum_flow(mat, index[source], index[v]).flow_value)
-        best = min(best, flow)
+        best = maximum_flow(G, G.vertices[0], v, False, best)
     return best
 
 

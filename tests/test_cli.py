@@ -259,6 +259,21 @@ class TestRejectedArguments:
         assert code == 3 and payload["type"] == "RecursionError"
 
 
+class TestRuntimeDependencies:
+    def test_cli_imports_neither_numpy_nor_scipy(self):
+        tests = Path(__file__).resolve().parent
+        script = ("import sys\n"
+                  "import cographs.cli\n"
+                  "print(sorted(m for m in ('numpy', 'scipy') "
+                  "if m in sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tests,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+
 OVERLAPPING_PAIR = ("embed", "--theorem", "th2", "--tree", "path:2",
                     "--expr", "(K3|K3)+(K1|K1)")
 
@@ -422,6 +437,13 @@ class TestEmbedGolden:
          '"map": [[0, 2], [1, 3], [2, 0], [3, 6], [4, 7]], '
          '"residual": {"cograph": false, "n": 8, "delta": 2, '
          '"kappa": 2, "lambda": 2}}\n'),
+        # th5, single-join-vertex recursion (7 -> 4 vertices); the residual
+        # is not a cograph, so kappa and lambda come from the flow routine
+        ('--theorem th5 -k 1 --tree star:3 --expr K1+(K3|K3)', None, 0,
+         '{"mode": "edge", "preserved": "k_edge_connected(1)", '
+         '"map": [[0, 0], [1, 1], [2, 2]], '
+         '"residual": {"cograph": false, "n": 7, "delta": 2, '
+         '"kappa": 1, "lambda": 1}}\n'),
         # refusal below the bound
         ('--theorem th1 -k 2 --tree path:3 --expr (K1|K1)+K2', None, 3,
          '{"error": "case small_primary needs delta >= 5, got 2", '
