@@ -10,6 +10,7 @@ nested too deeply, ...), 4 postcondition failure.  Under ``"residual"``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cograph", description=__doc__)
     parser.add_argument("--pretty", action="store_true",

@@ -14,7 +14,6 @@ the tests check that search against a brute force over vertex sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Iterator
 
 from .embedding import DeleteMode, Embedding, Preserved, _placements
@@ -153,6 +152,17 @@ def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
     Sides are restricted to at most half the vertices; for an even split only
     the side containing the smallest vertex is reported, so each cut appears
     once.  ``isolates`` is set when the cut is exactly some vertex's star.
+
+    Sides are tried by size, then in lexicographic order, but skipped once a
+    count proves their cut larger than ``best``, the smallest cut so far,
+    which starts at delta (a vertex star is a cut).  A vertex keeps at most
+    ``s - 1`` of its edges inside a side of ``s`` vertices, so a size is
+    skipped when the ``s`` smallest ``max(0, deg v - s + 1)`` exceed ``best``
+    in sum.  A side grown in index order has the vertices below its last one
+    decided out: each chosen ``v`` cuts its edges to them, and at least
+    ``e(v, undecided) - r`` more while ``r`` vertices are still to choose.
+    A minimum cut never exceeds ``best``, so no skipped side is a minimum,
+    and the records equal those of the full enumeration, order included.
     """
     n = G.n
     if n > cap:
@@ -167,23 +177,35 @@ def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
     for u, v in G.edges:
         adj_bits[index[u]] |= 1 << index[v]
         adj_bits[index[v]] |= 1 << index[u]
-    full = (1 << n) - 1
-
-    best = None
+    deg = [bits.bit_count() for bits in adj_bits]
+    best = min(deg)
     sides: list[tuple[int, ...]] = []
+
+    def grow(combo: tuple[int, ...], mask: int, size: int) -> None:
+        nonlocal best, sides
+        left = size - len(combo) - 1  # still to choose after the next vertex
+        first = combo[-1] + 1 if combo else 0
+        # even split: only sides that hold vertex 0
+        stop = 1 if 2 * size == n and not combo else n - left
+        for i in range(first, stop):
+            side, chosen, decided = (*combo, i), mask | 1 << i, (2 << i) - 1
+            bound = 0
+            for v in side:
+                bits = adj_bits[v]
+                bound += (bits & decided & ~chosen).bit_count() + max(
+                    0, (bits & ~decided).bit_count() - left)
+            if bound > best:
+                continue
+            if left:
+                grow(side, chosen, size)
+            elif bound < best:
+                best, sides = bound, [side]
+            else:
+                sides.append(side)
+
     for size in range(1, n // 2 + 1):
-        for combo in combinations(range(n), size):
-            if 2 * size == n and combo[0] != 0:
-                continue  # even split: keep the side with the smallest vertex
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            cut = sum((adj_bits[i] & (full ^ mask)).bit_count() for i in combo)
-            if best is None or cut < best:
-                best = cut
-                sides = [combo]
-            elif cut == best:
-                sides.append(combo)
+        if sum(sorted(max(0, d - size + 1) for d in deg)[:size]) <= best:
+            grow((), 0, size)
 
     records = []
     for combo in sides:

@@ -17,6 +17,8 @@ from cographs import (
 )
 from cographs.analysis import degrees
 from cographs.cotree import Cotree, format_expression
+from cographs.errors import DisconnectedError, TooLargeError
+from cographs.oracle import DEFAULT_CUT_CAP, CutRecord
 
 
 def brute_kappa(G: Graph) -> int:
@@ -44,6 +46,64 @@ def brute_lambda(G: Graph) -> int:
             if not delete_edges(G, F).is_connected():
                 return size
     raise AssertionError("a nontrivial connected graph has an edge cut")
+
+
+def brute_min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
+    """All minimum edge cuts of a connected graph, as bipartition sides.
+
+    The plain loop over every side, kept as the reference that
+    :func:`cographs.oracle.min_edge_cuts` must match, order included.
+
+    Sides are restricted to at most half the vertices; for an even split only
+    the side containing the smallest vertex is reported, so each cut appears
+    once.  ``isolates`` is set when the cut is exactly some vertex's star.
+    """
+    n = G.n
+    if n > cap:
+        raise TooLargeError(f"graph order {n} exceeds the cap {cap}")
+    if not G.is_connected():
+        raise DisconnectedError("minimum edge cuts need a connected graph")
+    if n == 1:
+        return []
+    verts = G.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    adj_bits = [0] * n
+    for u, v in G.edges:
+        adj_bits[index[u]] |= 1 << index[v]
+        adj_bits[index[v]] |= 1 << index[u]
+    full = (1 << n) - 1
+
+    best = None
+    sides: list[tuple[int, ...]] = []
+    for size in range(1, n // 2 + 1):
+        for combo in combinations(range(n), size):
+            if 2 * size == n and combo[0] != 0:
+                continue  # even split: keep the side with the smallest vertex
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            cut = sum((adj_bits[i] & (full ^ mask)).bit_count() for i in combo)
+            if best is None or cut < best:
+                best = cut
+                sides = [combo]
+            elif cut == best:
+                sides.append(combo)
+
+    records = []
+    for combo in sides:
+        side_set = set(combo)
+        side_labels = tuple(verts[i] for i in combo)
+        cut_edges = frozenset(
+            e for e in G.edges
+            if (index[e[0]] in side_set) != (index[e[1]] in side_set))
+        isolates = None
+        for v in verts:
+            if G.degree(v) == best and all(v in e for e in cut_edges):
+                isolates = v
+                break
+        records.append(CutRecord(side=side_labels, size=best,
+                                 isolates=isolates))
+    return records
 
 
 def all_graphs(n: int):

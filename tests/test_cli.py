@@ -167,6 +167,26 @@ class TestDeterminismAndFlags:
         code, out = run(capsys, "--pretty", "analyze", "--expr", "K4")
         assert code == 0 and json.loads(out)["kappa"] == 3 and "\n" in out
 
+    def test_shared_parser_keeps_no_state(self, capsys):
+        # main reuses one parser; each call must print what a fresh
+        # process prints, after a usage error and after --pretty too
+        from cographs.cli import _build_parser
+        assert _build_parser() is _build_parser()
+        calls = [["embed", "--theorem", "th9", "--tree", "path:2",
+                  "--expr", "K3"],
+                 ["--pretty", "analyze", "--expr", "K4"],
+                 ["analyze", "--expr", "K4"]]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "cographs.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+
     def test_exactly_one_input_source(self, capsys):
         assert main(["analyze", "--expr", "K3", "--file", "x"]) == 1
         assert main(["analyze"]) == 1

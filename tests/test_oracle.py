@@ -1,9 +1,10 @@
 """Brute-force oracle: enumeration, exhaustive search, cut records."""
 
+import random
 from itertools import permutations
 
 import pytest
-from conftest import all_graphs, cograph_stream
+from conftest import all_graphs, brute_min_edge_cuts, cograph_stream
 
 from cographs import (
     Graph,
@@ -14,6 +15,8 @@ from cographs import (
     min_edge_cuts,
     named_tree,
     parse_expression,
+    random_cotree,
+    random_tree,
 )
 from cographs.embedding import DeleteMode, Preserved
 from cographs.errors import DisconnectedError, TooLargeError
@@ -162,6 +165,76 @@ class TestMinEdgeCuts:
             min_edge_cuts(materialize(parse_expression("K2|K2")))
         with pytest.raises(TooLargeError):
             min_edge_cuts(Graph.complete(17))
+
+
+def _two_cliques_and_a_bridge(order: int) -> Graph:
+    clique = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    return Graph.from_edges(2 * order, clique + [(order + u, order + v)
+                                                 for u, v in clique]
+                            + [(order - 1, order)])
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    return Graph.from_edges(
+        rows * cols,
+        [(r * cols + c, r * cols + c + 1)
+         for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c)
+           for r in range(rows - 1) for c in range(cols)])
+
+
+HARD_SHAPES = {
+    "path": Graph.path(16),
+    "cycle": Graph.cycle(16),
+    "star": Graph.from_edges(16, [(0, v) for v in range(1, 16)]),
+    "K16": Graph.complete(16),
+    "two_K8_and_a_bridge": _two_cliques_and_a_bridge(8),
+    "grid_4x4": _grid(4, 4),
+    "random_tree": random_tree(16, 3).tree,
+}
+
+
+class TestMinEdgeCutsAgainstThePlainLoop:
+    """The bounded search returns the plain loop's records, order included."""
+
+    def test_every_connected_graph_of_order_at_most_6(self):
+        checked = 0
+        for n in range(1, 7):
+            for G in all_graphs(n):
+                if G.is_connected():
+                    assert min_edge_cuts(G) == brute_min_edge_cuts(G), G.edges
+                    checked += 1
+        assert checked == 1 + 1 + 4 + 38 + 728 + 26704
+
+    def test_random_graphs_up_to_order_13(self):
+        rng = random.Random(1301)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(2, 13)
+            p = rng.uniform(0.15, 0.9)
+            # sparse, shuffled labels: the search works on vertex indices
+            labels = rng.sample(range(3 * n), n)
+            G = Graph(labels, [(labels[u], labels[v]) for u in range(n)
+                               for v in range(u + 1, n) if rng.random() < p])
+            if G.is_connected():
+                assert min_edge_cuts(G) == brute_min_edge_cuts(G), G.edges
+                checked += 1
+
+    def test_random_cographs_up_to_order_16(self):
+        checked = 0
+        for seed in range(80):
+            ct = random_cotree(4 + seed % 13, 1600 + seed,
+                               join_bias=0.4 + 0.6 * (seed % 5) / 4)
+            G = materialize(ct)
+            if G.is_connected():
+                assert min_edge_cuts(G) == brute_min_edge_cuts(G), ct
+                checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("name", HARD_SHAPES)
+    def test_hard_shapes_of_order_16(self, name):
+        G = HARD_SHAPES[name]
+        assert min_edge_cuts(G) == brute_min_edge_cuts(G)
 
 
 class TestInduced2K2:

@@ -1,7 +1,8 @@
-"""Property-based tests of recognition (hypothesis)."""
+"""Property-based tests of recognition and of the cut oracle (hypothesis)."""
 
 from itertools import combinations
 
+from conftest import brute_min_edge_cuts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from cographs import (
     cotree_from_graph,
     format_expression,
     materialize,
+    min_edge_cuts,
     random_cotree,
 )
 
@@ -29,6 +31,17 @@ def small_graphs(draw):
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(1, 10))
+    # a random spanning tree keeps the graph connected; a mask adds the rest
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(
+        n, tree | {e for i, e in enumerate(pairs) if mask >> i & 1})
 
 
 @SETTINGS
@@ -56,3 +69,9 @@ def test_recognition_gives_a_cotree_or_a_p4(G):
     assert len({a, b, c, d}) == 4
     assert G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(c, d)
     assert not (G.has_edge(a, c) or G.has_edge(a, d) or G.has_edge(b, d))
+
+
+@SETTINGS
+@given(connected_graphs())
+def test_min_edge_cuts_match_the_plain_loop(G):
+    assert min_edge_cuts(G) == brute_min_edge_cuts(G)
