@@ -101,17 +101,17 @@ def is_connected_cograph(ct: Cotree) -> bool:
     return ct.is_connected()
 
 
-def _cocomponent_has_isolated_vertex(node: CotreeNode) -> bool:
-    """True when the (sub)graph of a cocomponent has a degree-0 vertex.
+def _isolated_labels(node: CotreeNode) -> list[int]:
+    """Labels of the degree-0 vertices of a cocomponent's (sub)graph.
 
-    A cocomponent is K1 or disconnected; a disconnected cograph has an
-    isolated vertex exactly when one of its components is a single leaf.
+    A cocomponent is K1 or disconnected; the isolated vertices of a
+    disconnected cograph are its components that are a single leaf.
     """
     if node.kind == LEAF:
-        return True
+        return [node.label]
     if node.kind == UNION:
-        return any(c.kind == LEAF for c in node.children)
-    return False
+        return [c.label for c in node.children if c.kind == LEAF]
+    return []
 
 
 def is_maximally_connected(ct: Cotree) -> bool:
@@ -125,8 +125,7 @@ def is_maximally_connected(ct: Cotree) -> bool:
 
 def _is_maximally_connected(cocomps: list[Cotree]) -> bool:
     top = cocomps[0].n
-    return any(c.n == top and _cocomponent_has_isolated_vertex(c.root)
-               for c in cocomps)
+    return any(c.n == top and _isolated_labels(c.root) for c in cocomps)
 
 
 def _is_c4_degrees(degs: dict[int, int]) -> bool:

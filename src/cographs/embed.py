@@ -8,7 +8,8 @@ choices smallest-label-first (placements come from the shared search
 before returning it: as a copy of the tree (injective, every tree edge on a
 graph edge, the trees of a pair disjoint), and on its residual, built and
 recognized once, through an independent path (closed form plus oracle for
-cograph residuals, flow for edge-deleted residuals).  The result carries
+cograph residuals, flow for edge-deleted residuals); every route decides
+through :meth:`~cographs.embedding.Preserved.holds`.  The result carries
 that residual's report, which ``cograph embed`` prints.  A failed check
 raises :class:`~cographs.errors.PostconditionFailedError`, which signals an
 implementation bug, never bad input.
@@ -20,21 +21,17 @@ from collections import deque
 from dataclasses import replace
 
 from .analysis import (
+    AnalysisReport,
     _delta,
     _is_c4_degrees,
+    _isolated_labels,
     analyze,
     as_cotree,
     as_graph_and_cotree,
-    is_connected_cograph,
     is_k_connected_cograph,
     is_k_edge_connected_cograph,
-    is_maximally_connected,
-    is_super_edge_connected,
-    kappa_cograph,
 )
 from .cotree import (
-    LEAF,
-    UNION,
     Cotree,
     _complete_order,
     cocomponents,
@@ -45,7 +42,6 @@ from .embedding import (
     DeleteMode,
     DisjointPair,
     Embedding,
-    Preserved,
     _placements,
     exact_kappa,
     k_connected,
@@ -202,20 +198,21 @@ def _split_primary(ct: Cotree) -> tuple[set[int], list[int], list[Cotree]]:
 
 
 def _inputs(G: Graph | Cotree, k: int = 1,
-            trees: tuple[TreeShape, ...] = ()) -> tuple[Graph, Cotree]:
-    """Argument checks shared by the ``keep_*`` operations, then the graph
-    and its cotree."""
+            trees: tuple[TreeShape, ...] = ()) -> tuple[Graph, Cotree, AnalysisReport]:
+    """Argument checks shared by the ``keep_*`` operations, then the graph,
+    its cotree and its :func:`~cographs.analysis.analyze` report."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if len({T.order for T in trees}) > 1:
         raise ValueError("both trees must have the same order")
-    return as_graph_and_cotree(G)
+    G, ct = as_graph_and_cotree(G)
+    return G, ct, analyze(ct)
 
 
-def _delta_at_least(ct: Cotree, bound: int, case: str | None = None,
+def _delta_at_least(report: AnalysisReport, bound: int, case: str | None = None,
                     formula: str = "", error=BoundViolatedError) -> int:
     """delta of the cograph, after checking it against a theorem's bound."""
-    delta = _delta(ct)
+    delta = report.delta
     if delta < bound:
         need = f"case {case} needs" if case else "need"
         message = f"{need} delta >= {formula}{bound}, got {delta}"
@@ -225,43 +222,17 @@ def _delta_at_least(ct: Cotree, bound: int, case: str | None = None,
     return delta
 
 
-def _closed_form_holds(rct: Cotree, prop: Preserved) -> bool:
-    """The tagged property of a cograph residual, read off its cotree."""
-    if prop.kind == "k_connected":
-        return is_k_connected_cograph(rct, prop.k)
-    if prop.kind == "k_edge_connected":
-        return is_k_edge_connected_cograph(rct, prop.k)
-    if prop.kind == "exact_kappa":
-        return kappa_cograph(rct) == prop.k
-    if prop.kind == "maximally_connected":
-        return is_maximally_connected(rct)
-    if prop.kind == "super_edge_connected":
-        return is_super_edge_connected(rct)
-    raise ValueError(f"unknown property kind {prop.kind!r}")
-
-
-def _flow_holds(prop: Preserved, report: dict) -> bool:
-    """The tag of an edge-deleted residual that is not a cograph (n >= 4, so
-    no K1 convention applies), judged on the flow values in its report."""
-    if prop.kind == "k_connected":
-        return report["kappa"] >= prop.k
-    if prop.kind == "k_edge_connected":
-        return report["lambda"] >= prop.k
-    if prop.kind == "exact_kappa":
-        return report["kappa"] == prop.k
-    raise ValueError(f"no flow judge for property kind {prop.kind!r}")
-
-
 def _verified(G: Graph, *embeddings: Embedding,
               oracle_max_n: int = 0) -> Embedding | DisjointPair:
     """The result made of ``embeddings`` (one, or a disjoint pair), checked
     and carrying its ``residual_report``.
 
     Each embedding must be a copy of its tree in G.  The residual is built
-    and recognized once.  A cograph residual is judged by the closed form
-    when vertex-deleted (and by the flow/cut oracle up to ``oracle_max_n``
-    vertices), by the oracle when edge-deleted.  Any other residual is
-    edge-deleted; one kappa and one lambda flow fill its report and judge it.
+    and recognized once.  ``Preserved.holds`` judges the ``analyze`` report
+    of a vertex-deleted cograph residual (closed form), the flow/cut oracle
+    an edge-deleted one (and any up to ``oracle_max_n`` vertices).  Any
+    other residual is edge-deleted; one kappa and one lambda flow fill its
+    report, which ``holds`` judges (flow).
     """
     head = embeddings[0]
     try:
@@ -279,16 +250,16 @@ def _verified(G: Graph, *embeddings: Embedding,
                   "delta": residual.min_degree(),
                   "kappa": vertex_connectivity_flow(residual),
                   "lambda": edge_connectivity_flow(residual)}
-        _require(_flow_holds(prop, report),
+        _require(prop.holds(report.__getitem__),
                  f"residual is not {prop.tag()} (flow)")
     else:
+        report = {"cograph": True, **analyze(rct).to_dict()}
         if head.mode is DeleteMode.VERTEX:
-            _require(_closed_form_holds(rct, prop),
+            _require(prop.holds(report.__getitem__),
                      f"residual is not {prop.tag()} (closed form)")
         if head.mode is DeleteMode.EDGE or residual.n <= oracle_max_n:
             _require(residual_satisfies(G, residual, prop),
                      f"residual is not {prop.tag()} (oracle)")
-        report = {"cograph": True, **analyze(rct).to_dict()}
     return replace(result, residual_report=report)
 
 
@@ -359,12 +330,11 @@ def keep_vertex_connectivity(G: Graph | Cotree, T: TreeShape, k: int) -> Embeddi
     Requires a k-connected cograph meeting the case bound of
     :func:`keep_vertex_connectivity_bound` for its primary cocomponent order.
     """
-    G, ct = _inputs(G, k)
+    G, ct, report = _inputs(G, k)
     if not is_k_connected_cograph(ct, k):
         raise NotKConnectedError(f"input is not {k}-connected")
-    n_prime = cocomponents(ct)[0].n
-    case, bound = keep_vertex_connectivity_bound(k, T.order, n_prime)
-    _delta_at_least(ct, bound, case=case)
+    case, bound = keep_vertex_connectivity_bound(k, T.order, report.n_prime)
+    _delta_at_least(report, bound, case=case)
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, k)
     return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
                                                k_connected(k)))
@@ -376,12 +346,12 @@ def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
 
     Requires a connected cograph with delta >= ceil(3 kappa / 2) + m - 1.
     """
-    G, ct = _inputs(G, trees=(T1, T2))
+    G, ct, report = _inputs(G, trees=(T1, T2))
     m = T1.order
-    if not is_connected_cograph(ct):
+    if not report.connected:
         raise BoundViolatedError("a connected cograph is required")
-    kappa = kappa_cograph(ct)
-    _delta_at_least(ct, (3 * kappa + 1) // 2 + m - 1,
+    kappa = report.kappa
+    _delta_at_least(report, (3 * kappa + 1) // 2 + m - 1,
                     formula="ceil(3 kappa / 2) + m - 1 = ")
     g1, _, parts = _split_primary(ct)
     if len(g1) == 1:
@@ -407,23 +377,10 @@ def _primary_with_isolated(ct: Cotree) -> tuple[int, list[Cotree]]:
     """Smallest-label isolated vertex over all maximum-order cocomponents,
     plus the cocomponent list reordered so its host comes first."""
     parts = cocomponents(ct)
-    top = parts[0].n
-    best: tuple[int, int] | None = None
-    for i, part in enumerate(parts):
-        if part.n != top:
-            break
-        node = part.root
-        if node.kind == LEAF:
-            candidates = [node.label]
-        elif node.kind == UNION:
-            candidates = [c.label for c in node.children if c.kind == LEAF]
-        else:
-            candidates = []
-        for x in candidates:
-            if best is None or x < best[0]:
-                best = (x, i)
-    _require(best is not None, "no primary cocomponent has an isolated vertex")
-    x, idx = best
+    isolated = [(x, i) for i, part in enumerate(parts) if part.n == parts[0].n
+                for x in _isolated_labels(part.root)]
+    _require(bool(isolated), "no primary cocomponent has an isolated vertex")
+    x, idx = min(isolated)
     ordered = [parts[idx]] + parts[:idx] + parts[idx + 1:]
     return x, ordered
 
@@ -435,18 +392,18 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     delta >= m - 1.  The construction shields one isolated vertex of a
     primary cocomponent and re-establishes a primary cocomponent around it.
     """
-    G, ct = _inputs(G)
+    G, ct, report = _inputs(G)
     m = T.order
-    if not is_maximally_connected(ct):
+    if not report.maximally_connected:
         raise NotMaximallyConnectedError("input is not maximally connected")
-    if ct.n == m and cocomponents(ct)[0].n == 1:
+    if ct.n == m and report.n_prime == 1:
         raise IsKmError(f"input is the complete graph K_{m}")
-    delta = _delta_at_least(ct, m - 1, error=DegreeTooLowError)
+    delta = _delta_at_least(report, m - 1, error=DegreeTooLowError)
 
     x, parts = _primary_with_isolated(ct)
     g1 = set(parts[0].labels)
     s = sorted(set(ct.labels) - g1)
-    kappa = kappa_cograph(ct)
+    kappa = report.kappa
     _require(len(s) == kappa == delta, "maximally connected bookkeeping failed")
     k = delta - (m - 1)
 
@@ -548,10 +505,10 @@ def keep_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
 
     Requires a k-connected cograph with delta >= k + m - 1.
     """
-    G, ct = _inputs(G, k)
+    G, ct, report = _inputs(G, k)
     if not is_k_connected_cograph(ct, k):
         raise NotKConnectedError(f"input is not {k}-connected")
-    _delta_at_least(ct, k + T.order - 1)
+    _delta_at_least(report, k + T.order - 1)
     _, s, _ = _split_primary(ct)
     protected = s[:k]
     allowed = set(G.vertices) - set(protected)
@@ -566,12 +523,12 @@ def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
 
     Requires a connected cograph with delta >= kappa + m - 1.
     """
-    G, ct = _inputs(G, trees=(T1, T2))
+    G, ct, report = _inputs(G, trees=(T1, T2))
     m = T1.order
-    if not is_connected_cograph(ct):
+    if not report.connected:
         raise BoundViolatedError("a connected cograph is required")
-    kappa = kappa_cograph(ct)
-    _delta_at_least(ct, kappa + m - 1)
+    kappa = report.kappa
+    _delta_at_least(report, kappa + m - 1)
     if m == 1:
         if ct.n < 2:
             raise BoundViolatedError(
@@ -600,10 +557,10 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
     residual stays connected and connected cographs are maximally
     edge-connected.
     """
-    G, ct = _inputs(G, k)
+    G, ct, report = _inputs(G, k)
     if not is_k_edge_connected_cograph(ct, k):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
-    _delta_at_least(ct, k + T.order - (1 if k == 1 else 0))
+    _delta_at_least(report, k + T.order - (1 if k == 1 else 0))
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, 1)
     emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
                                  k_edge_connected(k))
@@ -620,10 +577,10 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
 
     Requires a super edge-connected cograph with delta >= m + 2.
     """
-    G, ct = _inputs(G)
-    if not is_super_edge_connected(ct):
+    G, ct, report = _inputs(G)
+    if not report.super_edge_connected:
         raise NotSuperError("input is not super edge-connected")
-    _delta_at_least(ct, T.order + 2)
+    _delta_at_least(report, T.order + 2)
     g1, s, parts = _split_primary(ct)
 
     if len(g1) == 1:
@@ -797,10 +754,10 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     delta >= max(k + Delta(T) + beta(T) - 1, m - 1); this is never larger
     than k + m - 1.
     """
-    G, ct = _inputs(G, k)
+    G, ct, report = _inputs(G, k)
     if not is_k_edge_connected_cograph(ct, k):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
-    _delta_at_least(ct, max(k + T.max_degree + T.beta - 1, T.order - 1))
+    _delta_at_least(report, max(k + T.max_degree + T.beta - 1, T.order - 1))
     mapping = _keep_edge_conn_mapping(G, ct, T, k)
     return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.EDGE,
                                                k_edge_connected(k)))

@@ -7,6 +7,10 @@ to a distinct graph vertex so that tree edges land on graph edges.  The
 ``residual_report`` of a ``keep_*`` result (outside ``==``, ``hash``,
 ``repr`` and ``to_dict()``) is what its verifier found on the residual.
 
+:meth:`Preserved.holds` is the only code that says what a tag means; the
+closed form, flow and oracle routes differ only in how they compute the
+invariants it asks for.
+
 :func:`_placements` is the one placement search: it yields every way to
 place a tree inside an allowed vertex set, smallest labels first.  The
 constructions in :mod:`cographs.embed` take its first placement and
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph, TreeShape, delete_edges, delete_vertices
 
@@ -48,6 +52,25 @@ class Preserved:
 
     def tag(self) -> str:
         return f"{self.kind}({self.k})" if self.k is not None else self.kind
+
+    def holds(self, value: Callable[[str], int | bool]) -> bool:
+        """Whether a graph has this property, asking ``value(key)`` only
+        for the invariants the tag needs (``n``, ``kappa``, ``lambda``,
+        ``maximally_connected``, ``super_edge_connected``).  K1 counts as
+        1-connected and 1-edge-connected, though its kappa and lambda are 0.
+        """
+        if self.kind in ("maximally_connected", "super_edge_connected"):
+            return value(self.kind)
+        if self.kind == "exact_kappa":
+            return value("kappa") == self.k
+        key = {"k_connected": "kappa", "k_edge_connected": "lambda"}.get(self.kind)
+        if key is None:
+            raise ValueError(f"unknown property kind {self.kind!r}")
+        if self.k <= 0:
+            return True
+        if value("n") == 1:
+            return self.k <= 1
+        return value(key) >= self.k
 
 
 def k_connected(k: int) -> Preserved:

@@ -17,7 +17,15 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .analysis import analyze
-from .cotree import Cotree, CotreeNode, join, leaf, parse_expression, union
+from .cotree import (
+    Cotree,
+    CotreeNode,
+    format_expression,
+    join,
+    leaf,
+    parse_expression,
+    union,
+)
 from .errors import BadSpecError, ParamViolationError, PostconditionFailedError
 from .graph import Graph, TreeShape
 
@@ -56,7 +64,6 @@ class TightExample:
 
     @property
     def expression(self) -> str:
-        from .cotree import format_expression
         return format_expression(self.cotree)
 
 

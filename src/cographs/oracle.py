@@ -1,10 +1,12 @@
 """Independent brute-force ground truth for desk-scale verification.
 
 Nothing in this module consults the closed-form classifiers: residual
-properties are judged by the flow oracle and by explicit cut enumeration, so
-an agreement between a constructive routine and an exhaustive search here is
-genuine evidence.  Size caps are ``cap`` parameters with conservative
-defaults and raise hard errors instead of silently truncating.
+properties are judged by :meth:`~cographs.embedding.Preserved.holds`, the
+rule every route shares, on values from the flow oracle and from explicit
+cut enumeration, so an agreement between a constructive routine and an
+exhaustive search here is genuine evidence.  Size caps are ``cap``
+parameters with conservative defaults and raise hard errors instead of
+silently truncating.
 
 Subtree copies come from :func:`cographs.embedding._placements`, the one
 placement search, which the constructions in :mod:`cographs.embed` also use;
@@ -21,8 +23,7 @@ from .errors import DisconnectedError, TooLargeError
 from .graph import (
     Graph,
     TreeShape,
-    is_k_connected,
-    is_k_edge_connected,
+    edge_connectivity_flow,
     vertex_connectivity_flow,
 )
 
@@ -106,24 +107,28 @@ def has_induced_2k2(G: Graph) -> bool:
 
 
 def residual_satisfies(G: Graph, residual: Graph, prop: Preserved) -> bool:
-    """Flow- and cut-based evaluation of a preserved-property tag."""
-    kind = prop.kind
-    if kind == "k_connected":
-        return is_k_connected(residual, prop.k)
-    if kind == "k_edge_connected":
-        return is_k_edge_connected(residual, prop.k)
-    if kind == "exact_kappa":
-        return vertex_connectivity_flow(residual) == prop.k
-    if kind == "maximally_connected":
-        return vertex_connectivity_flow(residual) == residual.min_degree()
-    if kind == "super_edge_connected":
-        if residual.n == 1:
-            return True
-        if not residual.is_connected():
-            return len(residual.isolated_vertices()) == 1
-        cuts = min_edge_cuts(residual, cap=max(residual.n, DEFAULT_CUT_CAP))
-        return all(record.isolates is not None for record in cuts)
-    raise ValueError(f"unknown property kind {kind!r}")
+    """``prop.holds`` on flow and cut values of ``residual``, each computed
+    only when it is asked for; ``G`` is not read."""
+    values = {
+        "n": lambda: residual.n,
+        "kappa": lambda: vertex_connectivity_flow(residual),
+        "lambda": lambda: edge_connectivity_flow(residual),
+        "maximally_connected": lambda: (vertex_connectivity_flow(residual)
+                                        == residual.min_degree()),
+        "super_edge_connected": lambda: _super_by_cuts(residual),
+    }
+    return prop.holds(lambda key: values[key]())
+
+
+def _super_by_cuts(G: Graph) -> bool:
+    """Every minimum edge cut isolates a vertex, by cut enumeration.  K1
+    counts as super, a disconnected graph when it has one isolated vertex."""
+    if G.n == 1:
+        return True
+    if not G.is_connected():
+        return len(G.isolated_vertices()) == 1
+    cuts = min_edge_cuts(G, cap=max(G.n, DEFAULT_CUT_CAP))
+    return all(record.isolates is not None for record in cuts)
 
 
 def exhaustive_keeping_search(G: Graph, T: TreeShape, prop: Preserved,

@@ -262,6 +262,26 @@ class TestRejectedArguments:
         assert done.returncode == 4, done.stderr
         assert json.loads(done.stdout)["type"] == "PostconditionFailedError"
 
+    def test_judge_refusal_exits_4_under_python_O(self):
+        # a residual the judge refuses (two isolated vertices left) is refused
+        # by the closed form without assert statements
+        tests = Path(__file__).resolve().parent
+        script = (
+            "import sys\n"
+            "import cographs.embed as e\n"
+            "from cographs.cli import main\n"
+            "e._keep_vertex_connectivity_mapping = lambda G, ct, T, k: {0: 2, 1: 3}\n"
+            "sys.exit(main(['embed', '--theorem', 'th1', '-k', '1',"
+            " '--tree', 'path:2', '--expr', '(K1|K1)+K2']))\n")
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              cwd=tests, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 4, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["type"] == "PostconditionFailedError"
+        assert payload["error"].endswith("(closed form)")
+
     def test_deep_edge_list_exits_3(self, capsys, monkeypatch):
         # 700-vertex threshold graph: each even vertex dominates the ones
         # before it, so the cotree is 700 levels deep

@@ -40,6 +40,7 @@ from cographs.embedding import (
     DeleteMode,
     DisjointPair,
     Embedding,
+    Preserved,
     exact_kappa,
     k_connected,
     k_edge_connected,
@@ -519,7 +520,7 @@ class TestVerifier:
         (keep_edge_connectivity_vertex_delete, "K5", ("path:2", 2)),
         (keep_super_edge_connectivity, "K6", ("path:3",)),
         (keep_edge_connectivity_edge_delete, "K5", ("path:2", 2)),
-        # the edge-deleted residual is not a cograph: judged by _flow_holds
+        # the edge-deleted residual is not a cograph: judged on its flow values
         (keep_connectivity_edge_delete, "(K1|K1)+K2+(K1|K2)", ("star:3", 2)),
     ]
 
@@ -532,12 +533,7 @@ class TestVerifier:
     def test_every_result_passes_the_verifier(self, keep, expr, args,
                                               monkeypatch):
         assert self.call(keep, expr, args)
-        monkeypatch.setattr(embed_module, "_closed_form_holds",
-                            lambda rct, prop: False)
-        monkeypatch.setattr(embed_module, "residual_satisfies",
-                            lambda G, residual, prop: False)
-        monkeypatch.setattr(embed_module, "_flow_holds",
-                            lambda prop, report: False)
+        monkeypatch.setattr(Preserved, "holds", lambda self, value: False)
         with pytest.raises(PostconditionFailedError):
             self.call(keep, expr, args)
 

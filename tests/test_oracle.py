@@ -8,9 +8,17 @@ from conftest import all_graphs, brute_min_edge_cuts, cograph_stream
 
 from cographs import (
     Graph,
+    analyze,
+    enumerate_cotrees,
     enumerate_subtree_embeddings,
     exhaustive_keeping_search,
+    format_expression,
     has_induced_2k2,
+    is_k_connected_cograph,
+    is_k_edge_connected_cograph,
+    is_maximally_connected,
+    is_super_edge_connected,
+    kappa_cograph,
     materialize,
     min_edge_cuts,
     named_tree,
@@ -18,9 +26,17 @@ from cographs import (
     random_cotree,
     random_tree,
 )
-from cographs.embedding import DeleteMode, Preserved
+from cographs.embedding import (
+    DeleteMode,
+    Preserved,
+    exact_kappa,
+    k_connected,
+    k_edge_connected,
+    maximally_connected,
+    super_edge_connected,
+)
 from cographs.errors import DisconnectedError, TooLargeError
-from cographs.oracle import ProvenNone
+from cographs.oracle import ProvenNone, residual_satisfies
 
 
 class TestEnumeration:
@@ -235,6 +251,44 @@ class TestMinEdgeCutsAgainstThePlainLoop:
     def test_hard_shapes_of_order_16(self, name):
         G = HARD_SHAPES[name]
         assert min_edge_cuts(G) == brute_min_edge_cuts(G)
+
+
+def _tags_with_classifiers():
+    for k in range(4):
+        yield k_connected(k), lambda ct, k=k: is_k_connected_cograph(ct, k)
+        yield (k_edge_connected(k),
+               lambda ct, k=k: is_k_edge_connected_cograph(ct, k))
+        yield exact_kappa(k), lambda ct, k=k: kappa_cograph(ct) == k
+    yield maximally_connected(), is_maximally_connected
+    yield super_edge_connected(), is_super_edge_connected
+
+
+class TestJudgeParity:
+    # Preserved.holds on the closed-form report, the flow/cut oracle and the
+    # public classifier agree on every cograph of order <= 8, K1 and the
+    # disconnected ones included
+    COGRAPHS = [ct for n in range(1, 9) for ct in enumerate_cotrees(n)]
+    CASES = list(_tags_with_classifiers())
+
+    def test_every_cograph_is_covered(self):
+        assert len(self.COGRAPHS) == 1 + 2 + 4 + 10 + 24 + 66 + 180 + 522
+        assert len(self.CASES) == 14
+
+    @pytest.mark.parametrize("tag,classifier", CASES,
+                             ids=[tag.tag() for tag, _ in CASES])
+    def test_three_answers_agree(self, tag, classifier):
+        answers = set()
+        for ct in self.COGRAPHS:
+            G = materialize(ct)
+            expected = classifier(ct)
+            where = (format_expression(ct), tag.tag())
+            assert tag.holds(analyze(ct).to_dict().__getitem__) == expected, where
+            assert residual_satisfies(G, G, tag) == expected, where
+            answers.add(expected)
+        # every tag is met by some cograph and missed by another, except
+        # the two that hold trivially
+        trivial = tag in (k_connected(0), k_edge_connected(0))
+        assert answers == ({True} if trivial else {True, False})
 
 
 class TestInduced2K2:
