@@ -1,13 +1,18 @@
 """Closed-form connectivity invariants and classifiers for cographs.
 
-Everything here is derived from the cotree alone: kappa is the order minus
-the order of a primary cocomponent, a connected cograph is always maximally
-edge-connected (so lambda equals the minimum degree), maximal connectedness
-is equivalent to a primary cocomponent containing an isolated vertex, and
-super edge-connectedness has a two-clause exclusion characterization, and
-ideal connectedness (2K2-freeness) is a rule on the union nodes.  The flow
-oracle in :mod:`cographs.graph` and :func:`cographs.oracle.has_induced_2k2`
-never feed these formulas; they exist to check them.
+Everything here is derived from the cotree alone, and :func:`analyze` is the
+one place each rule is written: kappa is the order minus the order of a
+primary cocomponent, a connected cograph is always maximally edge-connected
+(so lambda equals the minimum degree, and is 0 when disconnected), maximal
+connectedness is equivalent to a primary cocomponent containing an isolated
+vertex, super edge-connectedness has a two-clause exclusion
+characterization, and ideal connectedness (2K2-freeness) is a rule on the
+union nodes.  The public classifiers read the ``analyze`` report; the
+k-connectivity ones judge it with
+:meth:`~cographs.embedding.Preserved.holds`, which alone holds the K1
+convention.  The flow oracle in :mod:`cographs.graph` and
+:func:`cographs.oracle.has_induced_2k2` never feed these formulas; they
+exist to check them.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from .cotree import (
     LEAF,
     UNION,
     Cotree,
-    CotreeNode,
     _complete_order,
     cocomponents,
     cotree_from_graph,
     materialize,
 )
+from .embedding import k_connected, k_edge_connected
 from .errors import NotACographError
 from .graph import Graph
 
@@ -62,38 +67,29 @@ def as_graph_and_cotree(obj: Graph | Cotree) -> tuple[Graph, Cotree]:
 
 
 def degrees(ct: Cotree) -> dict[int, int]:
-    """Per-vertex degrees computed recursively on the cotree."""
-
-    def walk(node: CotreeNode) -> dict[int, int]:
+    """Per-vertex degrees in one top-down pass over the cotree: a vertex
+    gains (join order - child order) at every join above it."""
+    out: dict[int, int] = {}
+    stack = [(ct.root, 0)]
+    while stack:
+        node, deg = stack.pop()
         if node.kind == LEAF:
-            return {node.label: 0}
-        out: dict[int, int] = {}
-        for child in node.children:
-            sub = walk(child)
-            if node.kind == JOIN:
-                lift = node.order - child.order
-                for v in sub:
-                    sub[v] += lift
-            out.update(sub)
-        return out
-
-    return walk(ct.root)
-
-
-def _delta(ct: Cotree) -> int:
-    return min(degrees(ct).values())
+            out[node.label] = deg
+            continue
+        for child in reversed(node.children):
+            lift = node.order - child.order if node.kind == JOIN else 0
+            stack.append((child, deg + lift))
+    return out
 
 
 def kappa_cograph(ct: Cotree) -> int:
     """kappa(G) = n - n' where n' is the primary cocomponent order."""
-    return ct.n - cocomponents(ct)[0].n
+    return analyze(ct).kappa
 
 
 def lambda_cograph(ct: Cotree) -> int:
     """lambda(G): delta(G) for connected cographs, 0 otherwise."""
-    if not is_connected_cograph(ct):
-        return 0
-    return _delta(ct)
+    return analyze(ct).lambda_
 
 
 def is_connected_cograph(ct: Cotree) -> bool:
@@ -101,17 +97,18 @@ def is_connected_cograph(ct: Cotree) -> bool:
     return ct.is_connected()
 
 
-def _isolated_labels(node: CotreeNode) -> list[int]:
-    """Labels of the degree-0 vertices of a cocomponent's (sub)graph.
+def _primary_isolated(cocomps: list[Cotree]) -> list[tuple[int, int]]:
+    """(label, index) of every isolated vertex of a maximum-order
+    cocomponent, over the :func:`~cographs.cotree.cocomponents` list.
 
     A cocomponent is K1 or disconnected; the isolated vertices of a
     disconnected cograph are its components that are a single leaf.
     """
-    if node.kind == LEAF:
-        return [node.label]
-    if node.kind == UNION:
-        return [c.label for c in node.children if c.kind == LEAF]
-    return []
+    return [(c.label, i) for i, part in enumerate(cocomps)
+            if part.n == cocomps[0].n
+            for c in (part.root.children if part.root.kind == UNION
+                      else (part.root,))
+            if c.kind == LEAF]
 
 
 def is_maximally_connected(ct: Cotree) -> bool:
@@ -120,12 +117,7 @@ def is_maximally_connected(ct: Cotree) -> bool:
     Primary cocomponents are those of maximum order; the characterization
     quantifies existentially over them, so all ties are checked.
     """
-    return _is_maximally_connected(cocomponents(ct))
-
-
-def _is_maximally_connected(cocomps: list[Cotree]) -> bool:
-    top = cocomps[0].n
-    return any(c.n == top and _isolated_labels(c.root) for c in cocomps)
+    return analyze(ct).maximally_connected
 
 
 def _is_c4_degrees(degs: dict[int, int]) -> bool:
@@ -143,24 +135,22 @@ def is_super_edge_connected(ct: Cotree) -> bool:
     Disconnected case (convention, flagged in reports): true exactly when
     the graph has a single isolated vertex.
     """
-    return _is_super_edge_connected(ct, cocomponents(ct), degrees(ct))
+    return analyze(ct).super_edge_connected
 
 
-def _is_super_edge_connected(ct: Cotree, cocomps: list[Cotree],
-                             degs: dict[int, int]) -> bool:
-    if ct.n == 1:
-        return True
-    if not is_connected_cograph(ct):
+def _super_edge_connected(connected: bool, cocomps: list[Cotree],
+                          degs: dict[int, int], delta: int) -> bool:
+    """The rule of :func:`is_super_edge_connected` (K1 passes every clause)."""
+    if not connected:
         return sum(1 for d in degs.values() if d == 0) == 1
     if _is_c4_degrees(degs):
         return False
     if len(cocomps) == 2 and cocomps[1].n == 1:
         H = cocomps[0]
         # delta(H) >= 1: the K1 adds one to every degree of H in G
-        if H.n >= 4 and min(degs[v] for v in H.labels) >= 2:
-            delta_G = min(degs.values())
-            if any(_complete_order(c) == delta_G for c in H.root.children):
-                return False
+        return not (H.n >= 4 and min(degs[v] for v in H.labels) >= 2
+                    and any(_complete_order(c) == delta
+                            for c in H.root.children))
     return True
 
 
@@ -184,19 +174,12 @@ def is_ideally_connected(ct: Cotree) -> bool:
 
 def is_k_connected_cograph(ct: Cotree, k: int) -> bool:
     """Closed-form k-connectivity; K1 counts as 1-connected."""
-    if k <= 0:
-        return True
-    if ct.n == 1:
-        return k <= 1
-    return kappa_cograph(ct) >= k
+    return k_connected(k).holds(analyze(ct).to_dict().__getitem__)
 
 
 def is_k_edge_connected_cograph(ct: Cotree, k: int) -> bool:
-    if k <= 0:
-        return True
-    if ct.n == 1:
-        return k <= 1
-    return lambda_cograph(ct) >= k
+    """Closed-form k-edge-connectivity; K1 counts as 1-edge-connected."""
+    return k_edge_connected(k).holds(analyze(ct).to_dict().__getitem__)
 
 
 @dataclass(frozen=True)
@@ -247,7 +230,6 @@ def analyze(obj: Graph | Cotree) -> AnalysisReport:
     cocomps = cocomponents(ct)
     n_prime = cocomps[0].n
     delta = min(degs.values())
-    Delta = max(degs.values())
     connected = is_connected_cograph(ct)
     lam = delta if connected else 0
     return AnalysisReport(
@@ -255,13 +237,14 @@ def analyze(obj: Graph | Cotree) -> AnalysisReport:
         n_prime=n_prime,
         t=len(cocomps),
         delta=delta,
-        Delta=Delta,
+        Delta=max(degs.values()),
         kappa=ct.n - n_prime,
         lambda_=lam,
         connected=connected,
-        maximally_connected=_is_maximally_connected(cocomps),
+        maximally_connected=bool(_primary_isolated(cocomps)),
         maximally_edge_connected=lam == delta,
-        super_edge_connected=_is_super_edge_connected(ct, cocomps, degs),
+        super_edge_connected=_super_edge_connected(connected, cocomps, degs,
+                                                   delta),
         ideally_connected=is_ideally_connected(ct),
         dirac=ct.n >= 3 and 2 * delta >= ct.n,
         super_by_convention=not connected,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ArityError, ExpressionSyntaxError, PostconditionFailedError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _parts, induced_subgraph
 
 __all__ = [
     "CotreeNode",
@@ -287,29 +287,6 @@ def find_induced_p4(G: Graph) -> tuple[int, int, int, int] | None:
 class _P4Found(Exception):
     def __init__(self, witness):
         self.witness = witness
-
-
-def _parts(G: Graph, S: set[int], complement: bool) -> list[set[int]]:
-    """Components of G[S] (of its complement when ``complement``).
-
-    Parts come in order of their smallest label; no subgraph is built.
-    """
-    unvisited = set(S)
-    out = []
-    for start in sorted(S):
-        if start not in unvisited:
-            continue
-        unvisited.discard(start)
-        part = {start}
-        frontier = [start]
-        while frontier:
-            near = G.neighbors(frontier.pop())
-            grabbed = unvisited - near if complement else unvisited & near
-            unvisited -= grabbed
-            part |= grabbed
-            frontier.extend(grabbed)
-        out.append(part)
-    return out
 
 
 def _decompose(G: Graph, S: set[int]) -> CotreeNode:

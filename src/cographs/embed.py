@@ -1,9 +1,12 @@
 """Constructive extraction of connectivity-keeping trees in cographs.
 
-Each public ``keep_*`` operation realizes one existence theorem: it checks
-the theorem's exact minimum-degree bound (never attempting best-effort runs
-below it), builds the subtree copy along the proof's case analysis with all
-choices smallest-label-first (placements come from the shared search
+Each public ``keep_*`` operation realizes one existence theorem: it admits
+the input with the :class:`~cographs.embedding.Preserved` tag the theorem
+keeps (judged on the input's ``analyze`` report; the two pair theorems ask
+only for a connected input), checks the theorem's exact minimum-degree
+bound (never attempting best-effort runs below it), builds the subtree copy
+along the proof's case analysis with all choices smallest-label-first
+(placements come from the shared search
 :func:`cographs.embedding._placements`), and checks every result twice
 before returning it: as a copy of the tree (injective, every tree edge on a
 graph edge, the trees of a pair disjoint), and on its residual, built and
@@ -22,14 +25,11 @@ from dataclasses import replace
 
 from .analysis import (
     AnalysisReport,
-    _delta,
     _is_c4_degrees,
-    _isolated_labels,
+    _primary_isolated,
     analyze,
     as_cotree,
     as_graph_and_cotree,
-    is_k_connected_cograph,
-    is_k_edge_connected_cograph,
 )
 from .cotree import (
     Cotree,
@@ -331,13 +331,14 @@ def keep_vertex_connectivity(G: Graph | Cotree, T: TreeShape, k: int) -> Embeddi
     :func:`keep_vertex_connectivity_bound` for its primary cocomponent order.
     """
     G, ct, report = _inputs(G, k)
-    if not is_k_connected_cograph(ct, k):
+    tag = k_connected(k)
+    if not tag.holds(report.to_dict().__getitem__):
         raise NotKConnectedError(f"input is not {k}-connected")
     case, bound = keep_vertex_connectivity_bound(k, T.order, report.n_prime)
     _delta_at_least(report, bound, case=case)
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, k)
-    return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
-                                               k_connected(k)))
+    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
+    return _verified(G, emb)
 
 
 def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
@@ -377,8 +378,7 @@ def _primary_with_isolated(ct: Cotree) -> tuple[int, list[Cotree]]:
     """Smallest-label isolated vertex over all maximum-order cocomponents,
     plus the cocomponent list reordered so its host comes first."""
     parts = cocomponents(ct)
-    isolated = [(x, i) for i, part in enumerate(parts) if part.n == parts[0].n
-                for x in _isolated_labels(part.root)]
+    isolated = _primary_isolated(parts)
     _require(bool(isolated), "no primary cocomponent has an isolated vertex")
     x, idx = min(isolated)
     ordered = [parts[idx]] + parts[:idx] + parts[idx + 1:]
@@ -394,7 +394,8 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     """
     G, ct, report = _inputs(G)
     m = T.order
-    if not report.maximally_connected:
+    tag = maximally_connected()
+    if not tag.holds(report.to_dict().__getitem__):
         raise NotMaximallyConnectedError("input is not maximally connected")
     if ct.n == m and report.n_prime == 1:
         raise IsKmError(f"input is the complete graph K_{m}")
@@ -430,8 +431,7 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
         else:
             mapping = _keep_maximal_balanced(G, T, x, g1, s, parts, k, p, q)
 
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
-                                 maximally_connected())
+    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
     _require(x not in emb.image, "the shielded isolated vertex was deleted")
     return _verified(G, emb)
 
@@ -506,15 +506,16 @@ def keep_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     Requires a k-connected cograph with delta >= k + m - 1.
     """
     G, ct, report = _inputs(G, k)
-    if not is_k_connected_cograph(ct, k):
+    tag = k_connected(k)
+    if not tag.holds(report.to_dict().__getitem__):
         raise NotKConnectedError(f"input is not {k}-connected")
     _delta_at_least(report, k + T.order - 1)
     _, s, _ = _split_primary(ct)
     protected = s[:k]
     allowed = set(G.vertices) - set(protected)
     mapping = _try_embed(_embed_mapping, G, T, allowed)
-    return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.EDGE,
-                                               k_connected(k)))
+    emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE, tag)
+    return _verified(G, emb)
 
 
 def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
@@ -558,12 +559,12 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
     edge-connected.
     """
     G, ct, report = _inputs(G, k)
-    if not is_k_edge_connected_cograph(ct, k):
+    tag = k_edge_connected(k)
+    if not tag.holds(report.to_dict().__getitem__):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
     _delta_at_least(report, k + T.order - (1 if k == 1 else 0))
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, 1)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
-                                 k_edge_connected(k))
+    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
     return _verified(G, emb, oracle_max_n=G.n)
 
 
@@ -578,7 +579,8 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     Requires a super edge-connected cograph with delta >= m + 2.
     """
     G, ct, report = _inputs(G)
-    if not report.super_edge_connected:
+    tag = super_edge_connected()
+    if not tag.holds(report.to_dict().__getitem__):
         raise NotSuperError("input is not super edge-connected")
     _delta_at_least(report, T.order + 2)
     g1, s, parts = _split_primary(ct)
@@ -598,8 +600,7 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     else:
         mapping = _super_single_join_vertex(G, ct, T, parts)
 
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX,
-                                 super_edge_connected())
+    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
     return _verified(G, emb, oracle_max_n=_SUPER_BRUTE_CAP)
 
 
@@ -741,7 +742,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
     comp = components(host)[0]
     sub = induced_subgraph(G, set(comp.labels) | {w})
     sub_ct = as_cotree(sub)
-    _require(_delta(sub_ct) >= _delta(ct),
+    _require(sub.min_degree() >= G.min_degree(),
              "recursion lost the degree bound")
     return _keep_edge_conn_mapping(sub, sub_ct, T, k)
 
@@ -755,9 +756,10 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     than k + m - 1.
     """
     G, ct, report = _inputs(G, k)
-    if not is_k_edge_connected_cograph(ct, k):
+    tag = k_edge_connected(k)
+    if not tag.holds(report.to_dict().__getitem__):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
     _delta_at_least(report, max(k + T.max_degree + T.beta - 1, T.order - 1))
     mapping = _keep_edge_conn_mapping(G, ct, T, k)
-    return _verified(G, Embedding.from_mapping(T, mapping, DeleteMode.EDGE,
-                                               k_edge_connected(k)))
+    emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE, tag)
+    return _verified(G, emb)

@@ -147,28 +147,36 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted label tuples, smallest label first."""
-        seen: set[int] = set()
-        out = []
-        for start in self._vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self._adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
-        return out
+        return [tuple(sorted(p)) for p in _parts(self, self._vertices, False)]
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self._vertices if not self._adj[v])
+
+
+def _parts(G: Graph, S, complement: bool) -> list[set[int]]:
+    """Components of G[S] (of its complement when ``complement``).
+
+    Parts come in order of their smallest label; no subgraph is built.
+    """
+    unvisited = set(S)
+    out = []
+    for start in sorted(S):
+        if start not in unvisited:
+            continue
+        unvisited.discard(start)
+        part = {start}
+        frontier = [start]
+        while frontier:
+            near = G.neighbors(frontier.pop())
+            grabbed = unvisited - near if complement else unvisited & near
+            unvisited -= grabbed
+            part |= grabbed
+            frontier.extend(grabbed)
+        out.append(part)
+    return out
 
 
 # -- vertex/edge surgery -----------------------------------------------------

@@ -176,6 +176,7 @@ class TestAnalyze:
         for ct in cograph_stream(30, 71, nmax=10):
             G = materialize(ct)
             assert degrees(ct) == {v: G.degree(v) for v in G.vertices}
+            assert list(degrees(ct)) == ct.root.labels()  # leaf order
 
 
 class TestEdgeDeletionLemma:

@@ -517,3 +517,38 @@ class TestEmbedGolden:
         if hubs is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(_two_hubs(hubs)))
         assert run(capsys, "embed", *argv.split()) == (code, out)
+
+
+class TestAdmissionGolden:
+    """Pinned refusals of inputs that lack the property a theorem keeps (or,
+    for th2 and th4, are disconnected); the two K1 cases show that K1
+    counts as 1-connected but not 2-connected."""
+
+    CASES = [
+        ("--theorem th1 -k 2 --tree path:1 --expr K2|K2",
+         "input is not 2-connected", "NotKConnectedError"),
+        ("--theorem th3 -k 2 --tree path:2 --expr (K2|K2)+K1",
+         "input is not 2-connected", "NotKConnectedError"),
+        ("--theorem th5 -k 3 --tree path:2 --expr (K1|K1)+K2",
+         "input is not 3-edge-connected", "NotKEdgeConnectedError"),
+        ("--theorem th6 -k 2 --tree path:2 --expr K2|K1",
+         "input is not 2-edge-connected", "NotKEdgeConnectedError"),
+        ("--theorem maxcon --tree path:2 --expr (K2|K2)+K1",
+         "input is not maximally connected", "NotMaximallyConnectedError"),
+        ("--theorem superkeep --tree path:1 --expr (K1|K1)+(K1|K1)",
+         "input is not super edge-connected", "NotSuperError"),
+        ("--theorem th2 --tree path:1 --tree2 path:1 --expr K2|K2",
+         "a connected cograph is required", "BoundViolatedError"),
+        ("--theorem th4 --tree path:1 --tree2 path:1 --expr K2|K2",
+         "a connected cograph is required", "BoundViolatedError"),
+        # K1 is admitted as 1-connected, then fails the complete-graph bound
+        ("--theorem th1 -k 1 --tree path:1 --expr K1",
+         "case complete needs delta >= 1, got 0", "BoundViolatedError"),
+        ("--theorem th1 -k 2 --tree path:1 --expr K1",
+         "input is not 2-connected", "NotKConnectedError"),
+    ]
+
+    @pytest.mark.parametrize("argv, error, kind", CASES)
+    def test_stdout(self, capsys, argv, error, kind):
+        out = json.dumps({"error": error, "type": kind}) + "\n"
+        assert run(capsys, "embed", *argv.split()) == (3, out)

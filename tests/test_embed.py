@@ -533,7 +533,15 @@ class TestVerifier:
     def test_every_result_passes_the_verifier(self, keep, expr, args,
                                               monkeypatch):
         assert self.call(keep, expr, args)
-        monkeypatch.setattr(Preserved, "holds", lambda self, value: False)
+        verified = embed_module._verified
+
+        def refusing_verifier(*a, **kw):
+            # the judge says no only inside the verifier: admission asks it too
+            with monkeypatch.context() as patch:
+                patch.setattr(Preserved, "holds", lambda self, value: False)
+                return verified(*a, **kw)
+
+        monkeypatch.setattr(embed_module, "_verified", refusing_verifier)
         with pytest.raises(PostconditionFailedError):
             self.call(keep, expr, args)
 

@@ -62,6 +62,22 @@ class TestSurgery:
         H = delete_edges(Graph.cycle(4), [(0, 3)])
         assert len(H.edges) == 3 and H.is_connected()
 
+    def test_components_on_every_small_graph(self):
+        # sorted closures under adjacency, in order of their smallest label
+        for n in range(1, 6):
+            for G in all_graphs(n):
+                comps = []
+                for v in G.vertices:
+                    if any(v in c for c in comps):
+                        continue
+                    comp, grown = {v}, True
+                    while grown:
+                        near = {w for u in comp for w in G.neighbors(u)}
+                        grown = not near <= comp
+                        comp |= near
+                    comps.append(tuple(sorted(comp)))
+                assert G.components() == comps
+
     def test_complete_minus_m_vertices(self):
         # K_{k+m} minus any m vertices is K_k
         H = delete_vertices(Graph.complete(5), {1, 4})
