@@ -107,7 +107,7 @@ def _embed_mapping(G: Graph, T: TreeShape, allowed,
     if partial:
         dom = set(partial)
         sub = induced_subgraph(T.tree, dom)
-        if len(sub.edges) != len(dom) - 1 or not sub.is_connected():
+        if not sub.is_connected():  # induced in a tree: connected is a subtree
             raise ValueError("partial embedding domain is not a subtree")
         if len(set(partial.values())) != len(partial):
             raise ValueError("partial embedding is not injective")
@@ -632,9 +632,10 @@ def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
 
     leaf_t = T.root()
     (support_t,) = T.tree.neighbors(leaf_t)
-    sp_edges = sorted((u, v) for u, v in G.edges if u in sp and v in sp)
-    prim_edges = sorted((u, v) for u, v in G.edges
-                        if u in prim_labels and v in prim_labels)
+    edges = sorted(G.edges)
+    sp_edges = [(u, v) for u, v in edges if u in sp and v in sp]
+    prim_edges = [(u, v) for u, v in edges
+                  if u in prim_labels and v in prim_labels]
 
     if sp_edges:
         w_img, z_img = sp_edges[0]
@@ -685,8 +686,7 @@ def _class_image(T: TreeShape, mapping: dict[int, int], side: int) -> set[int]:
     return {mapping[t] for t in T.bipartition[side]}
 
 
-def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
-                            k: int) -> dict[int, int]:
+def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int]:
     """Recursive construction for the edge-deletion keeping theorem."""
     m = T.order
     if m == 1:
@@ -744,7 +744,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape,
     sub_ct = as_cotree(sub)
     _require(sub.min_degree() >= G.min_degree(),
              "recursion lost the degree bound")
-    return _keep_edge_conn_mapping(sub, sub_ct, T, k)
+    return _keep_edge_conn_mapping(sub, sub_ct, T)
 
 
 def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
@@ -760,6 +760,6 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     if not tag.holds(report.to_dict().__getitem__):
         raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
     _delta_at_least(report, max(k + T.max_degree + T.beta - 1, T.order - 1))
-    mapping = _keep_edge_conn_mapping(G, ct, T, k)
+    mapping = _keep_edge_conn_mapping(G, ct, T)
     emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE, tag)
     return _verified(G, emb)

@@ -4,7 +4,10 @@ The :class:`Graph` type is the universal carrier for inputs, deletions and
 oracle checks.  Labels are stable non-negative integers: deleting vertex 1
 from ``{0, 1, 2}`` leaves ``{0, 2}``, so embeddings can keep referring to the
 original labels after surgery.  All objects are immutable and all operations
-are pure functions.
+are pure functions.  A graph has one representation, the map from each label
+to the frozenset of its neighbours; ``edges`` is derived on each access, so
+hoist it out of loops.  Only the public constructor validates: surgery builds
+its result from adjacency without a re-check.
 
 Connectivity here is computed by maximum flow (Menger), deliberately
 independent of the closed forms in :mod:`cographs.analysis`; it is the
@@ -43,14 +46,12 @@ __all__ = [
 ]
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
-    """Immutable simple undirected graph on integer vertex labels."""
+    """Immutable simple undirected graph on integer vertex labels, held as
+    one adjacency map; ``edges`` is derived on each access, so hoist it out
+    of loops."""
 
-    __slots__ = ("_vertices", "_adj", "_edges")
+    __slots__ = ("_vertices", "_adj")
 
     def __init__(self, vertices, edges):
         vs = sorted(set(int(v) for v in vertices))
@@ -60,19 +61,23 @@ class Graph:
             raise UnknownVertexError("vertex labels must be non-negative")
         vset = set(vs)
         adj: dict[int, set[int]] = {v: set() for v in vs}
-        eset: set[tuple[int, int]] = set()
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise UnknownEdgeError(f"self-loop on vertex {u}")
             if u not in vset or v not in vset:
                 raise UnknownVertexError(f"edge ({u}, {v}) uses an unknown vertex")
-            eset.add(_normalize_edge(u, v))
             adj[u].add(v)
             adj[v].add(u)
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, frozenset[int]] = {v: frozenset(a) for v, a in adj.items()}
-        self._edges: frozenset[tuple[int, int]] = frozenset(eset)
+
+    @classmethod
+    def _of(cls, adj: dict[int, frozenset[int]]) -> "Graph":
+        """Unchecked: ``adj`` is nonempty, symmetric, loop-free, keys ascending."""
+        G = object.__new__(cls)
+        G._vertices, G._adj = tuple(adj), adj
+        return G
 
     # -- construction helpers -------------------------------------------------
 
@@ -105,7 +110,8 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        """Every edge as ``(u, v)`` with ``u < v``, derived on each access."""
+        return frozenset((u, v) for u, a in self._adj.items() for v in a if u < v)
 
     def neighbors(self, v: int) -> frozenset[int]:
         try:
@@ -129,19 +135,19 @@ class Graph:
         return v in self._adj.get(u, ())
 
     def is_complete(self) -> bool:
-        n = self.n
-        return len(self._edges) == n * (n - 1) // 2
+        return self.min_degree() == self.n - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, tuple(self._adj.values())))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        m = sum(map(len, self._adj.values())) // 2
+        return f"Graph(n={self.n}, m={m})"
 
     # -- traversal ---------------------------------------------------------------
 
@@ -189,8 +195,8 @@ def induced_subgraph(G: Graph, S) -> Graph:
     for v in S:
         if not G.has_vertex(v):
             raise UnknownVertexError(f"vertex {v} not in graph")
-    edges = [(u, v) for u, v in G.edges if u in S and v in S]
-    return Graph(S, edges)
+    drop = G._adj.keys() - S  # G's own labels, whatever S holds
+    return Graph._of({v: a - drop for v, a in G._adj.items() if v not in drop})
 
 
 def delete_vertices(G: Graph, S) -> Graph:
@@ -207,13 +213,12 @@ def delete_vertices(G: Graph, S) -> Graph:
 
 def delete_edges(G: Graph, F) -> Graph:
     """``G - F``; all vertices are kept."""
-    drop = set()
+    adj = dict(G._adj)
     for u, v in F:
-        e = _normalize_edge(u, v)
-        if e not in G.edges:
-            raise UnknownEdgeError(f"edge {e} not in graph")
-        drop.add(e)
-    return Graph(G.vertices, G.edges - drop)
+        if not G.has_edge(u, v):
+            raise UnknownEdgeError(f"edge {(min(u, v), max(u, v))} not in graph")
+        adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
+    return Graph._of(adj)
 
 
 # -- flow machinery -----------------------------------------------------------

@@ -168,6 +168,12 @@ def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
     ``e(v, undecided) - r`` more while ``r`` vertices are still to choose.
     A minimum cut never exceeds ``best``, so no skipped side is a minimum,
     and the records equal those of the full enumeration, order included.
+
+    ``isolates`` is the side's vertex when the side has one, else ``None``:
+    a cut is the star of v only when v is alone on its side, since another u
+    on v's side would reach v only through an edge of v that does not cross.
+    The complement is a single vertex only when n <= 2, and there the side is
+    already ``(v0,)``.
     """
     n = G.n
     if n > cap:
@@ -178,10 +184,7 @@ def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
         return []
     verts = G.vertices
     index = {v: i for i, v in enumerate(verts)}
-    adj_bits = [0] * n
-    for u, v in G.edges:
-        adj_bits[index[u]] |= 1 << index[v]
-        adj_bits[index[v]] |= 1 << index[u]
+    adj_bits = [sum(1 << index[w] for w in G.neighbors(v)) for v in verts]
     deg = [bits.bit_count() for bits in adj_bits]
     best = min(deg)
     sides: list[tuple[int, ...]] = []
@@ -212,18 +215,6 @@ def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
         if sum(sorted(max(0, d - size + 1) for d in deg)[:size]) <= best:
             grow((), 0, size)
 
-    records = []
-    for combo in sides:
-        side_set = set(combo)
-        side_labels = tuple(verts[i] for i in combo)
-        cut_edges = frozenset(
-            e for e in G.edges
-            if (index[e[0]] in side_set) != (index[e[1]] in side_set))
-        isolates = None
-        for v in verts:
-            if G.degree(v) == best and all(v in e for e in cut_edges):
-                isolates = v
-                break
-        records.append(CutRecord(side=side_labels, size=best,
-                                 isolates=isolates))
-    return records
+    return [CutRecord(side=tuple(verts[i] for i in combo), size=best,
+                      isolates=verts[combo[0]] if len(combo) == 1 else None)
+            for combo in sides]

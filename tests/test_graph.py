@@ -1,5 +1,8 @@
 """Graph core: surgery semantics, flow oracles, conventions, edge-list IO."""
 
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from conftest import all_graphs, brute_kappa, brute_lambda
 
@@ -95,6 +98,43 @@ class TestSurgery:
             delete_edges(G, [(0, 2)])
         with pytest.raises(UnknownVertexError):
             internally_disjoint_paths(G, 0, 9)
+
+    def test_surgery_matches_validating_constructor(self):
+        # surgery builds from adjacency unchecked; it must equal the graph the
+        # public constructor builds from the same vertices and edges
+        def same(H, vertices, edges):
+            want = Graph(vertices, edges)
+            assert H == want and H.vertices == want.vertices
+            assert H.edges == want.edges
+            assert H.is_complete() == want.is_complete()
+            assert repr(H) == repr(want) and hash(H) == hash(want)
+
+        for n in range(1, 6):
+            subsets = [set(c) for r in range(1, n + 1)
+                       for c in combinations(range(n), r)]
+            for G in all_graphs(n):
+                edges = sorted(G.edges)
+                for S in subsets:
+                    inside = [(u, v) for u, v in edges if u in S and v in S]
+                    same(induced_subgraph(G, S), S, inside)
+                    rest = set(G.vertices) - S
+                    if rest:
+                        outside = [(u, v) for u, v in edges
+                                   if u in rest and v in rest]
+                        same(delete_vertices(G, S), rest, outside)
+                for e in edges:
+                    same(delete_edges(G, [e]), G.vertices,
+                         [f for f in edges if f != e])
+                    same(delete_edges(G, [f for f in edges if f != e]),
+                         G.vertices, [e])
+
+    def test_adjacency_format_stays_in_graph_module(self):
+        import cographs
+        package = Path(cographs.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            if path.name != "graph.py":
+                text = path.read_text()
+                assert "._adj" not in text and "Graph._of" not in text, path.name
 
 
 class TestFlowConnectivity:
