@@ -231,8 +231,9 @@ def _verified(G: Graph, *embeddings: Embedding,
     and recognized once.  ``Preserved.holds`` judges the ``analyze`` report
     of a vertex-deleted cograph residual (closed form), the flow/cut oracle
     an edge-deleted one (and any up to ``oracle_max_n`` vertices).  Any
-    other residual is edge-deleted; one kappa and one lambda flow fill its
-    report, which ``holds`` judges (flow).
+    other residual is edge-deleted; ``vertex_connectivity_flow`` and
+    ``edge_connectivity_flow``, each a loop of several max-flows, fill its
+    kappa and lambda, and ``holds`` judges that report (flow).
     """
     head = embeddings[0]
     try:

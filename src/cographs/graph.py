@@ -13,7 +13,9 @@ Connectivity here is computed by maximum flow (Menger), deliberately
 independent of the closed forms in :mod:`cographs.analysis`; it is the
 ground-truth side of every dual-route check in the test suite.  One routine,
 :func:`maximum_flow`, counts unit-capacity BFS augmenting paths over split
-vertices ``2v -> 2v+1`` or plain arcs; kappa uses Even's source bound.
+vertices ``2v -> 2v+1`` or plain arcs.  kappa runs it from a vertex of
+minimum degree and between its nonadjacent neighbours (Esfahanian &
+Hakimi), lambda from one member of a dominating set to the others (Matula).
 """
 
 from __future__ import annotations
@@ -281,37 +283,58 @@ def internally_disjoint_paths(G: Graph, u: int, v: int) -> int:
 
 
 def vertex_connectivity_flow(G: Graph) -> int:
-    """kappa(G) by max flow from the first ``kappa + 1`` vertices only.
+    """kappa(G) by max flow around the first vertex v of minimum degree:
+    from v to each non-neighbour, and between each nonadjacent pair in N(v).
 
     Returns 0 for the trivial graph and for disconnected graphs; complete
     graphs report ``n - 1`` by convention (no nonadjacent pair exists).
 
-    Some v_i of v_1 ... v_(kappa+1) is outside a minimum separator S; for the
-    first such i, S holds v_1 ... v_(i-1), so each vertex S cuts off from v_i
-    is a later, nonadjacent v_j with at most kappa disjoint paths to v_i
-    (Even 1975; Esfahanian & Hakimi 1984).  Sources run up to v_best for the
-    running minimum ``best``, which reaches v_(kappa+1) while best > kappa.
+    Let S be a minimum separator.  If v is outside S, some component of
+    G - S misses v, and any of its vertices is a non-neighbour of v that S
+    cuts off.  If v is in S, then S - v separates nothing, so v has
+    neighbours x and y in two components of G - S: a nonadjacent pair in
+    N(v) that S cuts apart.  Each local value is at least kappa, so the
+    least one is kappa (Esfahanian & Hakimi 1984).  Each flow is counted up
+    to the smallest value found so far, which starts at delta = deg(v).
     """
     if G.is_complete():
         return G.n - 1
-    vs = G.vertices
+    adj = G._adj
     best = G.min_degree()
-    i = 0
-    while i < best:
-        for v in vs[i + 1:]:
-            if not G.has_edge(vs[i], v):
-                best = maximum_flow(G, vs[i], v, True, best)
-        i += 1
+    v = next(u for u in G.vertices if len(adj[u]) == best)
+    pairs = [(v, w) for w in G.vertices if w != v and w not in adj[v]]
+    pairs += [(x, y) for x, y in combinations(sorted(adj[v]), 2)
+              if y not in adj[x]]
+    for x, y in pairs:
+        best = maximum_flow(G, x, y, True, best)
     return best
 
 
 def edge_connectivity_flow(G: Graph) -> int:
-    """lambda(G) by max flow from one source, each flow counted up to delta
-    or the smallest value found so far; 0 for the trivial graph (delta is 0)
-    and for disconnected graphs (some flow is 0)."""
+    """lambda(G) by max flow from d_1 to each other member of a dominating
+    set D, each flow counted up to delta or the smallest value found so
+    far; 0 for the trivial graph (delta is 0) and for disconnected graphs.
+
+    D is greedy: each vertex, smallest label first, that no member so far
+    dominates joins it.  Suppose lambda < delta and X is one side of a
+    minimum cut, |X| = k.  Its degrees sum to at least k delta, and at most
+    k (k - 1) of that stays inside X, so k delta < k (k - 1) + delta: k is
+    not 1, and k > delta > lambda.  Cut edges touch fewer than k vertices
+    of X, so some x in X has none: N[x] lies in X, and the member of D
+    that dominates x is in X.  So D meets both sides, and some flow from
+    d_1 is at most lambda (Matula 1987); otherwise lambda is delta, the cap.
+    """
+    adj = G._adj
     best = G.min_degree()
-    for v in G.vertices[1:]:
-        best = maximum_flow(G, G.vertices[0], v, False, best)
+    dominated: set[int] = set()
+    D = []
+    for v in G.vertices:
+        if v not in dominated:
+            D.append(v)
+            dominated |= adj[v]
+            dominated.add(v)
+    for d in D[1:]:
+        best = maximum_flow(G, D[0], d, False, best)
     return best
 
 

@@ -10,6 +10,7 @@ from cographs import (
     TreeShape,
     delete_edges,
     delete_vertices,
+    graph,
     named_tree,
     parse_expression,
     random_cotree,
@@ -46,6 +47,40 @@ def brute_lambda(G: Graph) -> int:
             if not delete_edges(G, F).is_connected():
                 return size
     raise AssertionError("a nontrivial connected graph has an edge cut")
+
+
+def even_kappa(G: Graph) -> int:
+    """kappa(G) by flows from the first ``kappa + 1`` vertices only: the loop
+    :func:`cographs.graph.vertex_connectivity_flow` ran before it chose a
+    minimum-degree vertex, kept as its reference.
+
+    Some v_i of v_1 ... v_(kappa+1) is outside a minimum separator S; for the
+    first such i, S holds v_1 ... v_(i-1), so each vertex S cuts off from v_i
+    is a later, nonadjacent v_j (Even 1975).  Sources run up to v_best for
+    the running minimum ``best``, which reaches v_(kappa+1) while best > kappa.
+    """
+    if G.is_complete():
+        return G.n - 1
+    vs = G.vertices
+    best = G.min_degree()
+    i = 0
+    while i < best:
+        for v in vs[i + 1:]:
+            if not G.has_edge(vs[i], v):
+                best = graph.maximum_flow(G, vs[i], v, True, best)
+        i += 1
+    return best
+
+
+def one_source_lambda(G: Graph) -> int:
+    """lambda(G) by flows from the first vertex to every other one, each
+    counted up to delta or the smallest value so far: the loop
+    :func:`cographs.graph.edge_connectivity_flow` ran before it took a
+    dominating set, kept as its reference."""
+    best = G.min_degree()
+    for v in G.vertices[1:]:
+        best = graph.maximum_flow(G, G.vertices[0], v, False, best)
+    return best
 
 
 def brute_min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:

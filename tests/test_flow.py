@@ -1,23 +1,34 @@
-"""The augmenting-path flow routine against networkx (test-only dependency).
+"""The augmenting-path flow routine against networkx (test-only dependency)
+and the connectivity loops against the ones they replaced.
 
 ``vertex_connectivity_flow``, ``edge_connectivity_flow`` and
 ``internally_disjoint_paths`` all run on ``graph.maximum_flow``; networkx
 computes the same quantities by its own algorithms.  networkx counts
 vertex-disjoint paths without the direct edge, so that edge is removed
-before asking it and counted as one path afterwards.
+before asking it and counted as one path afterwards.  ``even_kappa`` and
+``one_source_lambda`` (conftest) are the earlier flow loops for kappa and
+lambda, which run more flows on the same routine.
 """
 
 import random
 from itertools import combinations
 
 import networkx as nx
-from conftest import all_graphs
+from conftest import all_graphs, even_kappa, one_source_lambda
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cographs import (
     Graph,
+    cotree_from_graph,
+    delete_edges,
     edge_connectivity_flow,
+    graph,
     internally_disjoint_paths,
+    keep_connectivity_edge_delete,
     materialize,
+    named_tree,
+    parse_expression,
     random_cotree,
     vertex_connectivity_flow,
 )
@@ -144,3 +155,102 @@ class TestSourceBound:
             G = Graph.from_edges(n, edges)
             assert vertex_connectivity_flow(G) == k
             assert G.min_degree() == k + side - 1
+
+
+def check_against_references(G: Graph) -> None:
+    assert vertex_connectivity_flow(G) == even_kappa(G), sorted(G.edges)
+    assert edge_connectivity_flow(G) == one_source_lambda(G), sorted(G.edges)
+
+
+@st.composite
+def gnp_graphs(draw):
+    n = draw(st.integers(1, 14))
+    p = draw(st.floats(0.0, 1.0))
+    pairs = list(combinations(range(n), 2))
+    coins = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs),
+                          max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, c in zip(pairs, coins) if c < p])
+
+
+class TestReferenceLoops:
+    def test_every_labeled_graph_up_to_order_6(self):
+        for n in range(1, 7):
+            for G in all_graphs(n):
+                check_against_references(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gnp_graphs())
+    def test_gnp_graphs(self, G):
+        check_against_references(G)
+
+    def test_edge_deleted_cotree_residuals(self):
+        # the residuals ``cograph embed`` reports by flow: a cograph less a
+        # few of its edges, most often no longer a cograph
+        rng = random.Random(12)
+        non_cographs = 0
+        for seed in range(300):
+            G = materialize(random_cotree(rng.randint(4, 20), seed,
+                                          join_bias=rng.choice((0.6, 0.8, 1.0))))
+            edges = sorted(G.edges)
+            R = delete_edges(G, rng.sample(edges, min(len(edges),
+                                                      rng.randint(1, 6))))
+            non_cographs += not cotree_from_graph(R).is_cograph
+            check_against_references(R)
+        assert non_cographs > 150
+
+
+class TestMinimumDegreeVertex:
+    def test_pair_in_the_neighbourhood_finds_kappa(self):
+        # vertex 0 is joined to two vertices of each of two disjoint K5; it
+        # has minimum degree 4 and {0} is the only minimum separator, so
+        # each flow to a non-neighbour reads 2 and only the pair (1, 6) of
+        # N(0) reads kappa = 1
+        left, right = range(1, 6), range(6, 11)
+        edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
+        edges += list(combinations(left, 2)) + list(combinations(right, 2))
+        G = Graph.from_edges(11, edges)
+        assert G.min_degree() == G.degree(0) == 4
+        assert vertex_connectivity_flow(G) == 1
+        assert maximum_flow(G, 0, 3, True, 9) == maximum_flow(G, 0, 8, True, 9) == 2
+
+    def test_non_neighbour_finds_kappa(self):
+        # two K5 joined by the edges 3-5 and 4-6: N(0) is a clique, so no
+        # pair step runs, and only the flows from 0 across read kappa = 2
+        edges = list(combinations(range(5), 2)) + list(combinations(range(5, 10), 2))
+        G = Graph.from_edges(10, edges + [(3, 5), (4, 6)])
+        assert G.min_degree() == G.degree(0) == 4
+        assert vertex_connectivity_flow(G) == 2
+
+
+class TestDominatingSet:
+    def test_a_later_dominator_reaches_the_second_side(self):
+        # K6 on 0..5 less the edge 0-5 and K6 on 6..11, joined by 1-6:
+        # lambda = 1 < delta = 4.  The greedy set is D = (0, 5, 6); the
+        # flow from 0 to 5 stays on 0's side and reads 4, and only the
+        # later dominator 6 lies across the cut
+        edges = [e for e in combinations(range(6), 2) if e != (0, 5)]
+        edges += list(combinations(range(6, 12), 2)) + [(1, 6)]
+        G = Graph.from_edges(12, edges)
+        assert G.min_degree() == 4
+        assert maximum_flow(G, 0, 5, False, 9) == 4
+        assert edge_connectivity_flow(G) == 1
+
+
+class TestFlowCount:
+    def test_th3_residual_takes_fewer_flows_than_the_references(self, monkeypatch):
+        # the residual of the th3 case of ``TestEmbedGolden`` (test_cli.py),
+        # which ``cograph embed`` reports by flow: kappa = lambda = 3
+        G = materialize(parse_expression("(K1|K1)+K2+(K1|K2)"))
+        R = keep_connectivity_edge_delete(G, named_tree("star:3"), 2).residual(G)
+        assert not cotree_from_graph(R).is_cograph
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return maximum_flow(*args)
+
+        monkeypatch.setattr(graph, "maximum_flow", counting)
+        assert (vertex_connectivity_flow(R), edge_connectivity_flow(R)) == (3, 3)
+        new = len(calls)
+        assert (even_kappa(R), one_source_lambda(R)) == (3, 3)
+        assert new < len(calls) - new
