@@ -56,11 +56,13 @@ class CotreeNode:
         self.min_label = min_label
 
     def labels(self) -> list[int]:
-        if self.kind == LEAF:
-            return [self.label]
-        out: list[int] = []
-        for c in self.children:
-            out.extend(c.labels())
+        """Leaf labels, left to right."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.kind == LEAF:
+                out.append(node.label)
+            stack.extend(reversed(node.children))
         return out
 
     def __repr__(self) -> str:
@@ -138,76 +140,60 @@ class RecognitionResult:
 
 # -- DSL parsing -----------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.next_label = 0
-
-    def error(self, message: str) -> ExpressionSyntaxError:
-        return ExpressionSyntaxError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self) -> CotreeNode:
-        node = self.parse_expr()
-        if self.peek():
-            raise self.error(f"unexpected {self.peek()!r}")
-        return node
-
-    def parse_expr(self) -> CotreeNode:
-        parts = [self.parse_term()]
-        while self.peek() == "+":
-            self.pos += 1
-            parts.append(self.parse_term())
-        return parts[0] if len(parts) == 1 else join(parts)
-
-    def parse_term(self) -> CotreeNode:
-        parts = [self.parse_atom()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.parse_atom())
-        return parts[0] if len(parts) == 1 else union(parts)
-
-    def parse_atom(self) -> CotreeNode:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if ch == "K":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("expected an integer after 'K'")
-            count = int(self.text[start:self.pos])
-            if count < 1:
-                raise ArityError("Kn shorthand requires n >= 1")
-            leaves = []
-            for _ in range(count):
-                leaves.append(leaf(self.next_label))
-                self.next_label += 1
-            return leaves[0] if count == 1 else join(leaves)
-        raise self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
+def _one_or(build, nodes: list[CotreeNode]) -> CotreeNode:
+    return nodes[0] if len(nodes) == 1 else build(nodes)
 
 
 def parse_expression(text: str) -> Cotree:
-    """Parse DSL text into a canonical cotree, labeling leaves left-to-right."""
-    return Cotree(_Parser(text).parse())
+    """Parse DSL text into a canonical cotree, labeling leaves left-to-right.
+
+    One pass with one frame per open parenthesis: the finished terms of its
+    join and the atoms of its current union.
+    """
+    frames: list[tuple[list[CotreeNode], list[CotreeNode]]] = [([], [])]
+    pos, next_label, want_atom = 0, 0, True
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        ch = text[pos] if pos < len(text) else ""
+        terms, atoms = frames[-1]
+        if want_atom and ch == "(":
+            frames.append(([], []))
+            pos += 1
+        elif want_atom and ch == "K":
+            start = pos = pos + 1
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            if pos == start:
+                raise ExpressionSyntaxError("expected an integer after 'K'", pos)
+            count = int(text[start:pos])
+            if count < 1:
+                raise ArityError("Kn shorthand requires n >= 1")
+            leaves = [leaf(label) for label in range(next_label, next_label + count)]
+            next_label += count
+            atoms.append(_one_or(join, leaves))
+            want_atom = False
+        elif want_atom:
+            raise ExpressionSyntaxError(
+                f"unexpected {ch!r}" if ch else "unexpected end of input", pos)
+        elif ch in ("|", "+"):
+            if ch == "+":
+                terms.append(_one_or(union, atoms))
+                atoms.clear()
+            pos += 1
+            want_atom = True
+        else:
+            terms.append(_one_or(union, atoms))
+            node = _one_or(join, terms)
+            if len(frames) == 1:
+                if ch:
+                    raise ExpressionSyntaxError(f"unexpected {ch!r}", pos)
+                return Cotree(node)
+            if ch != ")":
+                raise ExpressionSyntaxError("expected ')'", pos)
+            frames.pop()
+            frames[-1][1].append(node)
+            pos += 1
 
 
 def _complete_order(node: CotreeNode) -> int | None:
@@ -219,47 +205,59 @@ def _complete_order(node: CotreeNode) -> int | None:
     return None
 
 
-def _format(node: CotreeNode) -> str:
-    order = _complete_order(node)
-    if order is not None:
-        return f"K{order}"
-    if node.kind == JOIN:
-        return "+".join(_format(c) for c in node.children)
-    # union nodes are always parenthesized, matching the conventional output;
-    # join children additionally need their own parens under the "|" operator
-    parts = []
-    for c in node.children:
-        text = _format(c)
-        parts.append(f"({text})" if "+" in text else text)
-    return "(" + "|".join(parts) + ")"
-
-
 def format_expression(ct: Cotree) -> str:
-    """Canonical DSL text; re-parsing gives an isomorphic labeled graph."""
-    return _format(ct.root)
+    """Canonical DSL text; re-parsing gives an isomorphic labeled graph.
+
+    Union nodes are always parenthesized, matching the conventional output;
+    join children additionally need their own parens under the "|" operator.
+    """
+    out: list[str] = []
+    stack = [(ct.root, False)]
+    while stack:
+        node, done = stack.pop()
+        order = _complete_order(node)
+        if order is not None:
+            out.append(f"K{order}")
+        elif not done:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+        else:
+            parts = out[-len(node.children):]
+            del out[-len(node.children):]
+            if node.kind == JOIN:
+                out.append("+".join(parts))
+            else:
+                out.append("(" + "|".join(f"({t})" if "+" in t else t
+                                          for t in parts) + ")")
+    return out[0]
 
 
 # -- materialization ----------------------------------------------------------------
 
 def materialize(ct: Cotree) -> Graph:
-    """Build the labeled graph a cotree denotes."""
+    """Build the labeled graph a cotree denotes, in O(n + m).
+
+    Nodes are taken in reverse pre-order, so each node finds the label
+    lists of its children on top of the stack.
+    """
+    nodes, stack = [], [ct.root]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].children)
     edges: list[tuple[int, int]] = []
-
-    def walk(node: CotreeNode) -> list[int]:
+    groups: list[list[int]] = []
+    for node in reversed(nodes):
         if node.kind == LEAF:
-            return [node.label]
-        groups = [walk(c) for c in node.children]
-        if node.kind == JOIN:
-            for i, a in enumerate(groups):
-                for b in groups[i + 1:]:
-                    edges.extend((u, v) for u in a for v in b)
-        merged: list[int] = []
-        for g in groups:
-            merged.extend(g)
-        return merged
-
-    labels = walk(ct.root)
-    return Graph(labels, edges)
+            groups.append([node.label])
+            continue
+        merged = groups.pop()
+        for _ in node.children[1:]:
+            group = groups.pop()
+            if node.kind == JOIN:
+                edges.extend((u, v) for u in merged for v in group)
+            merged.extend(group)
+        groups.append(merged)
+    return Graph(groups[0], edges)
 
 
 # -- recognition ----------------------------------------------------------------------
@@ -284,34 +282,35 @@ def find_induced_p4(G: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-class _P4Found(Exception):
-    def __init__(self, witness):
-        self.witness = witness
-
-
-def _decompose(G: Graph, S: set[int]) -> CotreeNode:
-    """Cotree node of the subgraph of G induced by S."""
-    if len(S) == 1:
-        return leaf(next(iter(S)))
-    comps = _parts(G, S, complement=False)
-    if len(comps) > 1:
-        return union([_decompose(G, c) for c in comps])
-    cocomps = _parts(G, S, complement=True)
-    if len(cocomps) > 1:
-        return join([_decompose(G, c) for c in cocomps])
-    witness = find_induced_p4(induced_subgraph(G, S))
-    if witness is None:
-        raise PostconditionFailedError(
-            "connected co-connected graph must contain a P4")
-    raise _P4Found(witness)
-
-
 def cotree_from_graph(G: Graph) -> RecognitionResult:
-    """Recognize a cograph; on failure return an induced-P4 witness."""
-    try:
-        return RecognitionResult(cotree=Cotree(_decompose(G, set(G.vertices))))
-    except _P4Found as found:
-        return RecognitionResult(witness=found.witness)
+    """Recognize a cograph; on failure return an induced-P4 witness.
+
+    Parts are split depth-first, smallest label first; the witness comes from
+    the first part that is connected and co-connected.
+    """
+    root: list[CotreeNode] = []
+    internal = []  # (kind, children, the parent's child list), in creation order
+    stack = [(set(G.vertices), root)]
+    while stack:
+        S, siblings = stack.pop()
+        if len(S) == 1:
+            siblings.append(leaf(next(iter(S))))
+            continue
+        kind, parts = UNION, _parts(G, S, complement=False)
+        if len(parts) == 1:
+            kind, parts = JOIN, _parts(G, S, complement=True)
+        if len(parts) == 1:
+            witness = find_induced_p4(induced_subgraph(G, S))
+            if witness is None:
+                raise PostconditionFailedError(
+                    "connected co-connected graph must contain a P4")
+            return RecognitionResult(witness=witness)
+        children: list[CotreeNode] = []
+        internal.append((kind, children, siblings))
+        stack.extend((part, children) for part in reversed(parts))
+    for kind, children, siblings in reversed(internal):  # descendants first
+        siblings.append(_internal(kind, children))
+    return RecognitionResult(cotree=Cotree(root[0]))
 
 
 # -- decomposition views ------------------------------------------------------------

@@ -688,64 +688,65 @@ def _class_image(T: TreeShape, mapping: dict[int, int], side: int) -> set[int]:
 
 
 def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int]:
-    """Recursive construction for the edge-deletion keeping theorem."""
+    """Construction for the edge-deletion keeping theorem; the single-join
+    case starts over on a smaller graph with the same tree."""
     m = T.order
     if m == 1:
         return {T.tree.vertices[0]: min(G.vertices)}
-    g1, s, parts = _split_primary(ct)
-    mapping = _try_embed(_embed_mapping, G, T, G.vertices)
-    if len(g1) == 1:
-        return mapping
-    v2_img = _class_image(T, mapping, 1)
-    if delete_vertices(G, v2_img).is_connected():
-        return mapping
-
-    # the smaller class swallowed everything outside one cocomponent
-    host = None
-    for part in parts:
-        if set(ct.labels) - set(part.labels) <= v2_img:
-            host = part
-            break
-    _require(host is not None and host.n >= 2,
-             "disconnection without a swallowing cocomponent")
-    g1 = set(host.labels)
-    s = sorted(set(ct.labels) - g1)
-
-    s_edges = sorted((u, v) for u, v in G.edges if u in s and v in s)
-    if s_edges:
-        a_t, b_t = _smallest_cross_tree_edge(T)
-        u, v = s_edges[0]
-        partial = {a_t: u, b_t: v}
-        mapping = _try_embed(_embed_mapping, G, T, G.vertices, partial=partial)
-        _require(delete_vertices(G, _class_image(T, mapping, 1)).is_connected(),
-                 "re-rooted embedding still disconnects the graph")
-        return mapping
-
-    if len(s) >= 2:
-        leaf_t = T.root()
-        (support_t,) = T.tree.neighbors(leaf_t)
-        w, z = s[0], s[1]
-        rest = _subtree_shape(T, [t for t in T.tree.vertices if t != leaf_t])
-        partial = _try_embed(_embed_mapping, G, rest,
-                             set(G.vertices) - {w}, partial={support_t: z})
-        spare = sorted(g1 - set(partial.values()))
-        _require(bool(spare), "no room to finish the tree inside the primary part")
-        mapping = dict(partial)
-        mapping[leaf_t] = spare[0]
+    while True:
+        g1, s, parts = _split_primary(ct)
+        mapping = _try_embed(_embed_mapping, G, T, G.vertices)
+        if len(g1) == 1:
+            return mapping
         v2_img = _class_image(T, mapping, 1)
-        _require(not (g1 <= v2_img), "the smaller class swallowed the primary part")
-        _require(delete_vertices(G, v2_img).is_connected(),
-                 "spare-vertex embedding still disconnects the graph")
-        return mapping
+        if delete_vertices(G, v2_img).is_connected():
+            return mapping
 
-    # single join vertex: recurse into one component plus the hub
-    w = s[0]
-    comp = components(host)[0]
-    sub = induced_subgraph(G, set(comp.labels) | {w})
-    sub_ct = as_cotree(sub)
-    _require(sub.min_degree() >= G.min_degree(),
-             "recursion lost the degree bound")
-    return _keep_edge_conn_mapping(sub, sub_ct, T)
+        # the smaller class swallowed everything outside one cocomponent
+        host = None
+        for part in parts:
+            if set(ct.labels) - set(part.labels) <= v2_img:
+                host = part
+                break
+        _require(host is not None and host.n >= 2,
+                 "disconnection without a swallowing cocomponent")
+        g1 = set(host.labels)
+        s = sorted(set(ct.labels) - g1)
+
+        s_edges = sorted((u, v) for u, v in G.edges if u in s and v in s)
+        if s_edges:
+            a_t, b_t = _smallest_cross_tree_edge(T)
+            u, v = s_edges[0]
+            partial = {a_t: u, b_t: v}
+            mapping = _try_embed(_embed_mapping, G, T, G.vertices, partial=partial)
+            _require(delete_vertices(G, _class_image(T, mapping, 1)).is_connected(),
+                     "re-rooted embedding still disconnects the graph")
+            return mapping
+
+        if len(s) >= 2:
+            leaf_t = T.root()
+            (support_t,) = T.tree.neighbors(leaf_t)
+            w, z = s[0], s[1]
+            rest = _subtree_shape(T, [t for t in T.tree.vertices if t != leaf_t])
+            partial = _try_embed(_embed_mapping, G, rest,
+                                 set(G.vertices) - {w}, partial={support_t: z})
+            spare = sorted(g1 - set(partial.values()))
+            _require(bool(spare), "no room to finish the tree inside the primary part")
+            mapping = dict(partial)
+            mapping[leaf_t] = spare[0]
+            v2_img = _class_image(T, mapping, 1)
+            _require(not (g1 <= v2_img), "the smaller class swallowed the primary part")
+            _require(delete_vertices(G, v2_img).is_connected(),
+                     "spare-vertex embedding still disconnects the graph")
+            return mapping
+
+        # single join vertex: start over on one component plus the hub
+        w = s[0]
+        comp = components(host)[0]
+        sub = induced_subgraph(G, set(comp.labels) | {w})
+        _require(sub.min_degree() >= G.min_degree(),
+                 "recursion lost the degree bound")
+        G, ct = sub, as_cotree(sub)
 
 
 def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,

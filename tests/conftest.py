@@ -17,8 +17,24 @@ from cographs import (
     random_tree,
 )
 from cographs.analysis import degrees
-from cographs.cotree import Cotree, format_expression
-from cographs.errors import DisconnectedError, TooLargeError
+from cographs.cotree import (
+    Cotree,
+    RecognitionResult,
+    find_induced_p4,
+    format_expression,
+    join,
+    leaf,
+    union,
+)
+from cographs.errors import (
+    ArityError,
+    CographError,
+    DisconnectedError,
+    ExpressionSyntaxError,
+    PostconditionFailedError,
+    TooLargeError,
+)
+from cographs.graph import _parts, induced_subgraph
 from cographs.oracle import DEFAULT_CUT_CAP, CutRecord
 
 
@@ -139,6 +155,128 @@ def brute_min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]
         records.append(CutRecord(side=side_labels, size=best,
                                  isolates=isolates))
     return records
+
+
+class RecursiveParser:
+    """Recursive descent over the expression DSL: the parser
+    :func:`cographs.cotree.parse_expression` replaced with one explicit-stack
+    pass, kept as its reference (recursion depth grows with nesting)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.next_label = 0
+
+    def error(self, message: str) -> ExpressionSyntaxError:
+        return ExpressionSyntaxError(message, self.pos)
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> Cotree:
+        node = self.parse_expr()
+        if self.peek():
+            raise self.error(f"unexpected {self.peek()!r}")
+        return Cotree(node)
+
+    def parse_expr(self):
+        parts = [self.parse_term()]
+        while self.peek() == "+":
+            self.pos += 1
+            parts.append(self.parse_term())
+        return parts[0] if len(parts) == 1 else join(parts)
+
+    def parse_term(self):
+        parts = [self.parse_atom()]
+        while self.peek() == "|":
+            self.pos += 1
+            parts.append(self.parse_atom())
+        return parts[0] if len(parts) == 1 else union(parts)
+
+    def parse_atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            node = self.parse_expr()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
+            return node
+        if ch == "K":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == start:
+                raise self.error("expected an integer after 'K'")
+            count = int(self.text[start:self.pos])
+            if count < 1:
+                raise ArityError("Kn shorthand requires n >= 1")
+            leaves = [leaf(self.next_label + i) for i in range(count)]
+            self.next_label += count
+            return leaves[0] if count == 1 else join(leaves)
+        raise self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
+
+
+class _P4Found(Exception):
+    def __init__(self, witness):
+        self.witness = witness
+
+
+def _decompose(G: Graph, S: set[int]):
+    if len(S) == 1:
+        return leaf(next(iter(S)))
+    comps = _parts(G, S, complement=False)
+    if len(comps) > 1:
+        return union([_decompose(G, c) for c in comps])
+    cocomps = _parts(G, S, complement=True)
+    if len(cocomps) > 1:
+        return join([_decompose(G, c) for c in cocomps])
+    witness = find_induced_p4(induced_subgraph(G, S))
+    if witness is None:
+        raise PostconditionFailedError(
+            "connected co-connected graph must contain a P4")
+    raise _P4Found(witness)
+
+
+def recursive_recognize(G: Graph) -> RecognitionResult:
+    """Recognition by recursive splitting into components and
+    cocomponents, a P4 witness thrown up from the first prime part: the walk
+    :func:`cographs.cotree.cotree_from_graph` replaced with an explicit
+    stack, kept as its reference."""
+    try:
+        return RecognitionResult(cotree=Cotree(_decompose(G, set(G.vertices))))
+    except _P4Found as found:
+        return RecognitionResult(witness=found.witness)
+
+
+def cotree_nodes(ct: Cotree) -> list[tuple]:
+    """Every node as (kind, label, order, min_label), in pre-order: equal
+    lists mean equal labeled cotrees."""
+    out, stack = [], [ct.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.kind, node.label, node.order, node.min_label))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def parse_outcome(parse, text: str) -> tuple:
+    """The cotree ``parse(text)`` builds, or the type and message (with its
+    position) of the domain error it raises."""
+    try:
+        return ("ok", cotree_nodes(parse(text)))
+    except CographError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def recognition_outcome(recognize, G: Graph) -> tuple:
+    result = recognize(G)
+    if result.cotree is None:
+        return ("witness", result.witness)
+    return ("cotree", cotree_nodes(result.cotree))
 
 
 def all_graphs(n: int):

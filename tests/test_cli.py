@@ -12,7 +12,7 @@ import pytest
 from conftest import first_mapping_twice
 
 from cographs.cli import main
-from cographs.cotree import materialize, parse_expression
+from cographs.cotree import format_expression, materialize, parse_expression
 from cographs.graph import Graph, format_edge_list
 
 
@@ -282,21 +282,54 @@ class TestRejectedArguments:
         assert payload["type"] == "PostconditionFailedError"
         assert payload["error"].endswith("(closed form)")
 
-    def test_deep_edge_list_exits_3(self, capsys, monkeypatch):
+
+class TestDeepInputs:
+    """A deep cotree costs memory, not a refusal: no walk from text to
+    cotree to graph recurses once per level."""
+
+    def test_deep_edge_list_recognized(self, capsys, monkeypatch):
         # 700-vertex threshold graph: each even vertex dominates the ones
         # before it, so the cotree is 700 levels deep
         import io
-        n = 700
-        lines = [str(n)] + [f"{j} {i}" for i in range(2, n, 2)
-                            for j in range(i)]
-        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(_threshold_edge_list(700)))
         code, payload = run_json(capsys, "recognize", "-")
-        assert code == 3 and payload["type"] == "RecursionError"
+        expected = format_expression(parse_expression(_threshold(700)))
+        assert code == 0
+        assert payload == {"cograph": True, "expression": expected}
 
-    def test_deep_expression_exits_3(self, capsys):
+    def test_deep_expression_analyzes_as_k1(self, capsys):
         expr = "(" * 600 + "K1" + ")" * 600
-        code, payload = run_json(capsys, "analyze", "--expr", expr)
-        assert code == 3 and payload["type"] == "RecursionError"
+        assert run_json(capsys, "analyze", "--expr", expr) \
+            == run_json(capsys, "analyze", "--expr", "K1")
+
+    def test_no_recursion_on_the_cli_path(self, tmp_path):
+        # inputs a few hundred levels deep under a recursion limit of 150:
+        # a walk that recursed once per level, directly or through a
+        # helper, would stop with a RecursionError
+        deep_list = tmp_path / "threshold.txt"
+        deep_list.write_text(_threshold_edge_list(300))
+        hubs = "(K2|K2)"
+        for depth in range(301):
+            hubs = f"(K2+{hubs})" if depth % 2 == 0 else f"(K2|{hubs})"
+        argvs = [["recognize", "--file", str(deep_list)],
+                 ["analyze", "--file", str(deep_list)],
+                 ["analyze", "--expr", hubs],
+                 ["embed", "--theorem", "th5", "-k", "1", "--tree", "path:3",
+                  "--expr", hubs],
+                 ["gen", "--random", "3000,1"]]
+        script = ("import sys\n"
+                  "from cographs.cli import main\n"
+                  "sys.setrecursionlimit(150)\n"
+                  f"for argv in {argvs!r}:\n"
+                  "    print(main(argv), file=sys.stderr)\n")
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tests,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split() == ["0"] * len(argvs), done.stderr
+        assert len(done.stdout.splitlines()) == len(argvs)
 
 
 class TestRuntimeDependencies:
@@ -324,6 +357,13 @@ def _threshold(n):
     for depth in range(n - 2):
         text = f"(K1+{text})" if depth % 2 == 0 else f"(K1|{text})"
     return text
+
+
+def _threshold_edge_list(n):
+    """The threshold graph in which each even vertex i >= 2 is adjacent to
+    every vertex before it: its cotree is that of ``_threshold(n)``."""
+    lines = [str(n)] + [f"{j} {i}" for i in range(2, n, 2) for j in range(i)]
+    return "\n".join(lines) + "\n"
 
 
 def _near_cograph(expr, seed, toggles):

@@ -1,7 +1,15 @@
 """Cotree parsing, formatting, recognition, and decomposition views."""
 
 import pytest
-from conftest import all_graphs, cograph_stream, has_induced_p4_scan
+from conftest import (
+    RecursiveParser,
+    all_graphs,
+    cograph_stream,
+    has_induced_p4_scan,
+    parse_outcome,
+    recognition_outcome,
+    recursive_recognize,
+)
 
 from cographs import (
     Graph,
@@ -139,6 +147,32 @@ class TestRecognition:
             if len(S) == G.n:
                 S.pop()
             assert cotree_from_graph(delete_vertices(G, S)).is_cograph
+
+
+class TestReferenceWalks:
+    """The explicit-stack parser and recognizer against the recursive ones
+    they replaced (kept in conftest)."""
+
+    CORPUS = [
+        "", " ", "K", "K0", "K00", "Kx", "K 1", "K1 2", "K12", "K1", " K3 ",
+        "(", ")", "()", "(K1", "(K1 ", "(K1 x", "(K1))", "((K1)", "K1)",
+        "K1 x", "x", "+K1", "|K1", "K1+", "K1|", "K1||K1", "K1++K1",
+        "K1|+K1", "(K1)(K1)", "((K3))", "(K1|K1)+(K1|K1)", "K1|K1+K1|K1",
+        " ( K1 | K1 ) + K2 ", "K10+K2|(K1|K1)", "(K1|(K1|K1))+(K1+K1)",
+        "((K1|K2|K1)+(K1|K1)+K1)", "(K2+(K1|K3))|K1+K0", "(K1|K1)x",
+        "(K1+(K2|(K1+K1) x", "((((K1))))", "K2|(K1+K1)|K2+K3|K1",
+    ]
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_parser_matches_the_recursive_one(self, text):
+        assert parse_outcome(parse_expression, text) \
+            == parse_outcome(lambda t: RecursiveParser(t).parse(), text)
+
+    def test_recognition_matches_the_recursive_one_exhaustively(self):
+        for n in range(1, 7):
+            for G in all_graphs(n):
+                assert recognition_outcome(cotree_from_graph, G) \
+                    == recognition_outcome(recursive_recognize, G)
 
 
 class TestCanonicality:

@@ -1,9 +1,17 @@
-"""Property-based tests of recognition and of the cut oracle (hypothesis)."""
+"""Property-based tests of parsing, recognition and the cut oracle
+(hypothesis)."""
 
+import re
 from itertools import combinations
 
-from conftest import brute_min_edge_cuts
-from hypothesis import given, settings
+from conftest import (
+    RecursiveParser,
+    brute_min_edge_cuts,
+    parse_outcome,
+    recognition_outcome,
+    recursive_recognize,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cographs import (
@@ -12,6 +20,7 @@ from cographs import (
     format_expression,
     materialize,
     min_edge_cuts,
+    parse_expression,
     random_cotree,
 )
 
@@ -75,3 +84,57 @@ def test_recognition_gives_a_cotree_or_a_p4(G):
 @given(connected_graphs())
 def test_min_edge_cuts_match_the_plain_loop(G):
     assert min_edge_cuts(G) == brute_min_edge_cuts(G)
+
+
+DSL_ALPHABET = "K0123456789()|+ x"
+_well_formed = st.recursive(
+    st.sampled_from(["K1", "K2", "K3", " K1 ", "K10"]),
+    lambda inner: st.builds(lambda a, op, b, wrap: f"({a}{op}{b})" if wrap
+                            else f"{a}{op}{b}",
+                            inner, st.sampled_from(["|", "+", " | "]), inner,
+                            st.booleans()),
+    max_leaves=12)
+
+
+@st.composite
+def dsl_texts(draw):
+    """Well-formed expressions, some with one character replaced, and
+    arbitrary strings over the DSL's characters."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=DSL_ALPHABET, max_size=40))
+    text = draw(_well_formed)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(DSL_ALPHABET)) + text[i + 1:]
+    return text
+
+
+@SETTINGS
+@given(dsl_texts())
+def test_parser_matches_the_recursive_one(text):
+    # at most three digits a run, so the reference never builds a huge K<n>
+    assume(all(len(run) <= 3 for run in re.findall(r"[0-9]+", text)))
+    assert parse_outcome(parse_expression, text) \
+        == parse_outcome(lambda t: RecursiveParser(t).parse(), text)
+
+
+@st.composite
+def near_cographs(draw):
+    """A random cograph with one to three vertex pairs toggled and its
+    labels shuffled: mostly not a cograph, with a prime part of any size."""
+    ct = draw(random_cographs())
+    G = materialize(ct)
+    edges = set(G.edges)
+    if G.n >= 2:
+        pairs = list(combinations(range(G.n), 2))
+        for _ in range(draw(st.integers(1, 3))):
+            edges ^= {pairs[draw(st.integers(0, len(pairs) - 1))]}
+    perm = draw(st.permutations(range(G.n)))
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@SETTINGS
+@given(near_cographs())
+def test_recognition_matches_the_recursive_one(G):
+    assert recognition_outcome(cotree_from_graph, G) \
+        == recognition_outcome(recursive_recognize, G)
