@@ -2,8 +2,8 @@
 
 One JSON object per invocation on standard output (``--pretty`` indents it);
 identical inputs produce byte-identical output.  Exit codes: 0 success,
-1 usage, 2 I/O, 3 domain error (not a cograph, bound violated, ...),
-4 postcondition failure.  Under ``"residual"``,
+1 usage, 2 I/O, 3 domain error (not a cograph, bound violated, input over
+the size limits, ...), 4 postcondition failure.  Under ``"residual"``,
 ``embed`` prints the report its verifier made (``residual_report``).
 """
 

@@ -19,8 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ArityError, ExpressionSyntaxError, PostconditionFailedError
-from .graph import Graph, _parts, induced_subgraph
+from .errors import (
+    ArityError,
+    ExpressionSyntaxError,
+    PostconditionFailedError,
+    TooLargeError,
+)
+from .graph import _MAX_EDGES, _MAX_ORDER, Graph, _parts, induced_subgraph
 
 __all__ = [
     "CotreeNode",
@@ -151,24 +156,29 @@ def parse_expression(text: str) -> Cotree:
     join and the atoms of its current union.
     """
     frames: list[tuple[list[CotreeNode], list[CotreeNode]]] = [([], [])]
-    pos, next_label, want_atom = 0, 0, True
+    pos, end, next_label, want_atom = 0, len(text), 0, True
     while True:
-        while pos < len(text) and text[pos].isspace():
+        while pos < end and text[pos].isspace():
             pos += 1
-        ch = text[pos] if pos < len(text) else ""
+        ch = text[pos] if pos < end else ""
         terms, atoms = frames[-1]
         if want_atom and ch == "(":
             frames.append(([], []))
             pos += 1
         elif want_atom and ch == "K":
             start = pos = pos + 1
-            while pos < len(text) and text[pos].isdigit():
+            while pos < end and text[pos].isdecimal():
                 pos += 1
             if pos == start:
                 raise ExpressionSyntaxError("expected an integer after 'K'", pos)
-            count = int(text[start:pos])
+            digits = text[start:pos].lstrip("0")  # int() stops at 4300 digits
+            count = (int(digits or "0") if len(digits) <= len(str(_MAX_ORDER))
+                     else _MAX_ORDER + 1)
             if count < 1:
                 raise ArityError("Kn shorthand requires n >= 1")
+            if next_label + count > _MAX_ORDER:
+                raise TooLargeError(
+                    f"expression has more than {_MAX_ORDER} vertices")
             leaves = [leaf(label) for label in range(next_label, next_label + count)]
             next_label += count
             atoms.append(_one_or(join, leaves))
@@ -238,12 +248,18 @@ def materialize(ct: Cotree) -> Graph:
     """Build the labeled graph a cotree denotes, in O(n + m).
 
     Nodes are taken in reverse pre-order, so each node finds the label
-    lists of its children on top of the stack.
+    lists of its children on top of the stack.  The edge count is checked
+    against the limit first.
     """
-    nodes, stack = [], [ct.root]
+    nodes, stack, m = [], [ct.root], 0
     while stack:
-        nodes.append(stack.pop())
-        stack.extend(nodes[-1].children)
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+        if node.kind == JOIN:
+            m += (node.order ** 2 - sum(c.order ** 2 for c in node.children)) // 2
+    if m > _MAX_EDGES:
+        raise TooLargeError(f"edge count {m} exceeds the limit {_MAX_EDGES}")
     edges: list[tuple[int, int]] = []
     groups: list[list[int]] = []
     for node in reversed(nodes):

@@ -108,7 +108,8 @@ class PostconditionFailedError(CographError):
 # -- brute-force oracle -------------------------------------------------------
 
 class TooLargeError(CographError):
-    """The instance exceeds the oracle's configured size cap."""
+    """The instance exceeds the oracle's configured size cap, or an input
+    asks for more vertices or edges than the library builds."""
 
 
 class DisconnectedError(CographError):

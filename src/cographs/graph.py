@@ -27,10 +27,17 @@ from itertools import combinations
 from .errors import (
     EdgeListSyntaxError,
     EmptySetError,
+    TooLargeError,
     UnknownEdgeError,
     UnknownVertexError,
     WouldBeEmptyError,
 )
+
+# The most vertices (an edge-list header, the leaves of an expression) and
+# edges (of a cotree to materialize) an input may ask for; larger inputs get
+# TooLargeError before anything of their size is built.
+_MAX_ORDER = 200_000
+_MAX_EDGES = 1_000_000
 
 __all__ = [
     "Graph",
@@ -377,6 +384,8 @@ def read_edge_list(text: str) -> Graph:
             if len(numbers) != 1:
                 raise EdgeListSyntaxError("first data line must be the vertex count")
             n = numbers[0]
+            if n > _MAX_ORDER:
+                raise TooLargeError(f"vertex count {n} exceeds the limit {_MAX_ORDER}")
             continue
         if len(numbers) != 2:
             raise EdgeListSyntaxError(f"bad edge line: {raw!r}")

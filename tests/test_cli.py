@@ -332,6 +332,97 @@ class TestDeepInputs:
         assert len(done.stdout.splitlines()) == len(argvs)
 
 
+class TestSizeLimits:
+    """Over the order or edge limit, the input is refused with exit 3
+    before anything of its size is built."""
+
+    def test_huge_complete_graph(self, capsys):
+        code, payload = run_json(capsys, "analyze", "--expr", "K1000000000000")
+        assert code == 3 and payload == {
+            "error": "expression has more than 200000 vertices",
+            "type": "TooLargeError"}
+
+    def test_huge_edge_list_header(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("1000000000000\n0 1\n"))
+        code, payload = run_json(capsys, "recognize", "-")
+        assert code == 3 and payload == {
+            "error": "vertex count 1000000000000 exceeds the limit 200000",
+            "type": "TooLargeError"}
+
+    def test_too_many_edges_to_materialize(self, capsys):
+        # 2000 vertices are within the order limit; K2000 has 1999000 edges
+        code, payload = run_json(capsys, "recognize", "--expr", "K1000+K1000")
+        assert code == 3 and payload == {
+            "error": "edge count 1999000 exceeds the limit 1000000",
+            "type": "TooLargeError"}
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--random", "1000000000000,1"),
+        ("gen", "--tight", "th1case4:1000000000000,1000000000000"),
+        ("gen", "--tight", "superkeeptight:1000000000000"),
+    ])
+    def test_huge_generator_parameters(self, capsys, argv):
+        code, payload = run_json(capsys, *argv)
+        assert code == 3 and payload["type"] == "TooLargeError"
+
+    @pytest.mark.parametrize("count, kind", [
+        ("0" * 5000, "ArityError"),
+        ("1" * 5000, "TooLargeError"),
+    ])
+    def test_count_longer_than_int_parses(self, capsys, count, kind):
+        # int() refuses strings of more than 4300 digits
+        code, payload = run_json(capsys, "analyze", "--expr", "K" + count)
+        assert code == 3 and payload["type"] == kind
+
+    @pytest.mark.parametrize("expr, error", [
+        ("K\u00b2", "expected an integer after 'K' (at position 1)"),
+        ("K1\u00b2", "unexpected '\u00b2' (at position 2)"),
+    ])
+    def test_digit_that_is_not_decimal(self, capsys, expr, error):
+        code, payload = run_json(capsys, "analyze", "--expr", expr)
+        assert code == 3 and payload["error"] == error
+
+    def test_decimal_digits_of_any_script(self, capsys):
+        # U+0663 is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        assert run_json(capsys, "analyze", "--expr", "K\u0663") \
+            == run_json(capsys, "analyze", "--expr", "K3")
+
+    def test_limits_are_inclusive(self, capsys, monkeypatch):
+        import io
+
+        import cographs.cotree as cotree_module
+        import cographs.graph as graph_module
+        monkeypatch.setattr(cotree_module, "_MAX_ORDER", 5)
+        monkeypatch.setattr(cotree_module, "_MAX_EDGES", 4)
+        monkeypatch.setattr(graph_module, "_MAX_ORDER", 5)
+        for expr, ok in [("((K1|K1)+(K1|K1))|K1", True),  # 5 vertices, 4 edges
+                         ("(K1|K1)+(K1|K2)", False),  # 5 vertices, 7 edges
+                         ("K1|K1|K1|K1|K1|K1", False)]:  # 6 vertices
+            code, payload = run_json(capsys, "recognize", "--expr", expr)
+            assert (code, payload.get("type")) \
+                == ((0, None) if ok else (3, "TooLargeError"))
+        for text, ok in [("5\n0 1\n", True), ("6\n0 1\n", False)]:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, payload = run_json(capsys, "recognize", "-")
+            assert (code, payload.get("type")) \
+                == ((0, None) if ok else (3, "TooLargeError"))
+
+    def test_edge_count_is_exact(self, monkeypatch):
+        import cographs.cotree as cotree_module
+        from cographs import random_cotree
+        from cographs.analysis import degrees
+        from cographs.errors import TooLargeError
+        for seed in range(40):
+            ct = random_cotree(3 + seed % 12, seed, join_bias=0.7)
+            m = sum(degrees(ct).values()) // 2
+            monkeypatch.setattr(cotree_module, "_MAX_EDGES", m)
+            materialize(ct)
+            monkeypatch.setattr(cotree_module, "_MAX_EDGES", m - 1)
+            with pytest.raises(TooLargeError):
+                materialize(ct)
+
+
 class TestRuntimeDependencies:
     def test_cli_imports_neither_numpy_nor_scipy(self):
         tests = Path(__file__).resolve().parent

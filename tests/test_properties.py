@@ -1,7 +1,11 @@
 """Property-based tests of parsing, recognition and the cut oracle
 (hypothesis)."""
 
+import contextlib
+import io
+import json
 import re
+import sys
 from itertools import combinations
 
 from conftest import (
@@ -23,6 +27,8 @@ from cographs import (
     parse_expression,
     random_cotree,
 )
+from cographs.cli import main
+from cographs.graph import _MAX_ORDER
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -138,3 +144,53 @@ def near_cographs(draw):
 def test_recognition_matches_the_recursive_one(G):
     assert recognition_outcome(cotree_from_graph, G) \
         == recognition_outcome(recursive_recognize, G)
+
+
+# vertex counts around both limits: K1415 is the smallest complete graph
+# over the edge limit, and int() refuses strings of more than 4300 digits
+_COUNTS = st.one_of(st.integers(0, 30).map(str),
+                    st.integers(_MAX_ORDER + 1, 10**30).map(str),
+                    st.sampled_from(["1415", str(_MAX_ORDER), "1" * 5000]))
+
+
+@st.composite
+def deep_or_huge_requests(draw):
+    """argv and stdin for one ``cograph`` call: nested parentheses, long
+    union/join chains, huge ``K<n>``, a huge edge-list header or huge
+    generator parameters."""
+    shape = draw(st.sampled_from(["nest", "chain", "K", "header", "gen"]))
+    verb = draw(st.sampled_from(["recognize", "analyze"]))
+    if shape == "nest":
+        depth = draw(st.integers(0, 3000))
+        core = draw(st.sampled_from(["K1", "K3|K1", "K2+K2"]))
+        return [verb, "--expr", "(" * depth + core + ")" * depth], ""
+    if shape == "chain":
+        ops = draw(st.lists(st.sampled_from("|+"), max_size=3000))
+        return [verb, "--expr", "K1" + "".join(op + "K1" for op in ops)], ""
+    if shape == "K":
+        return [verb, "--expr", "K" + draw(_COUNTS)], ""
+    if shape == "header":
+        return [verb, "-"], draw(_COUNTS) + "\n0 1\n"
+    n = draw(_COUNTS)
+    return draw(st.sampled_from([
+        ["gen", "--random", f"{n},1"],
+        ["gen", "--tight", f"th1case1:{n},{n}"],
+        ["gen", "--tight", f"superkeeptight:{n}"]])), ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_or_huge_requests())
+def test_deep_or_huge_input_gets_an_answer_or_exit_3(request):
+    argv, stdin = request
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # anything outside CographError propagates
+    finally:
+        sys.stdin = saved
+    if code == 1:  # gen parameters of 0 or over 4300 digits: a usage error
+        assert argv[0] == "gen" and err.getvalue().startswith("usage error")
+        return
+    assert code in (0, 3)
+    json.loads(out.getvalue())
