@@ -62,18 +62,23 @@ class CotreeNode:
 
     def labels(self) -> list[int]:
         """Leaf labels, left to right."""
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if node.kind == LEAF:
-                out.append(node.label)
-            stack.extend(reversed(node.children))
-        return out
+        return [n.label for n in reversed(_preorder(self)) if n.kind == LEAF]
 
     def __repr__(self) -> str:
         if self.kind == LEAF:
             return f"Leaf({self.label})"
         return f"{self.kind.capitalize()}(order={self.order})"
+
+
+def _preorder(root: CotreeNode) -> list[CotreeNode]:
+    """Every node of the subtree, each before its descendants.  Children are
+    taken last first, so the reversed list meets siblings first to last,
+    each after all of its own descendants."""
+    nodes, stack = [], [root]
+    while stack:
+        nodes.append(stack.pop())
+        stack += nodes[-1].children
+    return nodes
 
 
 def leaf(label: int) -> CotreeNode:
@@ -221,25 +226,19 @@ def format_expression(ct: Cotree) -> str:
     Union nodes are always parenthesized, matching the conventional output;
     join children additionally need their own parens under the "|" operator.
     """
-    out: list[str] = []
-    stack = [(ct.root, False)]
-    while stack:
-        node, done = stack.pop()
+    texts: list[str] = []  # one per finished subtree, siblings in order
+    for node in reversed(_preorder(ct.root)):
+        parts = texts[len(texts) - len(node.children):]
+        del texts[len(texts) - len(node.children):]
         order = _complete_order(node)
         if order is not None:
-            out.append(f"K{order}")
-        elif not done:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
+            texts.append(f"K{order}")
+        elif node.kind == JOIN:
+            texts.append("+".join(parts))
         else:
-            parts = out[-len(node.children):]
-            del out[-len(node.children):]
-            if node.kind == JOIN:
-                out.append("+".join(parts))
-            else:
-                out.append("(" + "|".join(f"({t})" if "+" in t else t
-                                          for t in parts) + ")")
-    return out[0]
+            texts.append("(" + "|".join(f"({t})" if "+" in t else t
+                                        for t in parts) + ")")
+    return texts[0]
 
 
 # -- materialization ----------------------------------------------------------------
@@ -251,13 +250,9 @@ def materialize(ct: Cotree) -> Graph:
     lists of its children on top of the stack.  The edge count is checked
     against the limit first.
     """
-    nodes, stack, m = [], [ct.root], 0
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children)
-        if node.kind == JOIN:
-            m += (node.order ** 2 - sum(c.order ** 2 for c in node.children)) // 2
+    nodes = _preorder(ct.root)
+    m = sum((x.order ** 2 - sum(c.order ** 2 for c in x.children)) // 2
+            for x in nodes if x.kind == JOIN)
     if m > _MAX_EDGES:
         raise TooLargeError(f"edge count {m} exceeds the limit {_MAX_EDGES}")
     edges: list[tuple[int, int]] = []

@@ -233,15 +233,14 @@ def named_tree(spec: str) -> TreeShape:
     if not sep:
         raise BadSpecError(f"missing ':' in tree spec {spec!r}")
     try:
-        if head == "path":
+        if head in ("path", "star"):
             m = int(rest)
             if m < 1:
-                raise BadSpecError("path needs m >= 1")
-            return TreeShape.from_graph(Graph.path(m))
-        if head == "star":
-            m = int(rest)
-            if m < 1:
-                raise BadSpecError("star needs m >= 1")
+                raise BadSpecError(f"{head} needs m >= 1")
+            if m > _MAX_ORDER:
+                raise TooLargeError(f"tree order {m} exceeds the limit {_MAX_ORDER}")
+            if head == "path":
+                return TreeShape.from_graph(Graph.path(m))
             return TreeShape.from_graph(
                 Graph.from_edges(m, [(0, i) for i in range(1, m)]))
         if head == "prufer":
@@ -260,7 +259,7 @@ def named_tree(spec: str) -> TreeShape:
                 edges.append((int(a), int(b)))
             labels = sorted({v for e in edges for v in e})
             return TreeShape.from_graph(Graph(labels, edges))
-    except BadSpecError:
+    except (BadSpecError, TooLargeError):
         raise
     except Exception as exc:  # int() failures, non-tree graphs
         raise BadSpecError(f"bad tree spec {spec!r}: {exc}") from exc

@@ -358,11 +358,15 @@ class TestSizeLimits:
             "type": "TooLargeError"}
 
     @pytest.mark.parametrize("argv", [
+        ("embed", "--theorem", "maxcon", "--tree", "path:1000000000000",
+         "--expr", "K3"),
+        ("embed", "--theorem", "maxcon", "--tree", "star:1000000000000",
+         "--expr", "K3"),
         ("gen", "--random", "1000000000000,1"),
         ("gen", "--tight", "th1case4:1000000000000,1000000000000"),
         ("gen", "--tight", "superkeeptight:1000000000000"),
     ])
-    def test_huge_generator_parameters(self, capsys, argv):
+    def test_huge_tree_or_generator_parameters(self, capsys, argv):
         code, payload = run_json(capsys, *argv)
         assert code == 3 and payload["type"] == "TooLargeError"
 

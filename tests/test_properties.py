@@ -156,9 +156,9 @@ _COUNTS = st.one_of(st.integers(0, 30).map(str),
 @st.composite
 def deep_or_huge_requests(draw):
     """argv and stdin for one ``cograph`` call: nested parentheses, long
-    union/join chains, huge ``K<n>``, a huge edge-list header or huge
-    generator parameters."""
-    shape = draw(st.sampled_from(["nest", "chain", "K", "header", "gen"]))
+    union/join chains, huge ``K<n>``, a huge edge-list header, or a huge
+    tree or generator parameter."""
+    shape = draw(st.sampled_from(["nest", "chain", "K", "header", "param"]))
     verb = draw(st.sampled_from(["recognize", "analyze"]))
     if shape == "nest":
         depth = draw(st.integers(0, 3000))
@@ -173,6 +173,7 @@ def deep_or_huge_requests(draw):
         return [verb, "-"], draw(_COUNTS) + "\n0 1\n"
     n = draw(_COUNTS)
     return draw(st.sampled_from([
+        ["embed", "--theorem", "maxcon", "--tree", f"star:{n}", "--expr", "K3"],
         ["gen", "--random", f"{n},1"],
         ["gen", "--tight", f"th1case1:{n},{n}"],
         ["gen", "--tight", f"superkeeptight:{n}"]])), ""
