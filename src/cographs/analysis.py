@@ -17,7 +17,7 @@ exist to check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cotree import (
     JOIN,
@@ -202,22 +202,8 @@ class AnalysisReport:
     super_by_convention: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_prime": self.n_prime,
-            "t": self.t,
-            "delta": self.delta,
-            "Delta": self.Delta,
-            "kappa": self.kappa,
-            "lambda": self.lambda_,
-            "connected": self.connected,
-            "maximally_connected": self.maximally_connected,
-            "maximally_edge_connected": self.maximally_edge_connected,
-            "super_edge_connected": self.super_edge_connected,
-            "ideally_connected": self.ideally_connected,
-            "dirac": self.dirac,
-            "super_by_convention": self.super_by_convention,
-        }
+        """Every field in declaration order; ``lambda_`` is keyed ``"lambda"``."""
+        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
 
 
 def analyze(obj: Graph | Cotree) -> AnalysisReport:

@@ -223,22 +223,30 @@ def _complete_order(node: CotreeNode) -> int | None:
 def format_expression(ct: Cotree) -> str:
     """Canonical DSL text; re-parsing gives an isomorphic labeled graph.
 
-    Union nodes are always parenthesized, matching the conventional output;
-    join children additionally need their own parens under the "|" operator.
+    One pre-order pass writes the tokens.  Every union is parenthesized, and
+    so is a union child that is a join other than K_c.
     """
-    texts: list[str] = []  # one per finished subtree, siblings in order
-    for node in reversed(_preorder(ct.root)):
-        parts = texts[len(texts) - len(node.children):]
-        del texts[len(texts) - len(node.children):]
-        order = _complete_order(node)
+    tokens: list[str] = []
+    stack: list[CotreeNode | str] = [ct.root]
+    while stack:
+        item = stack.pop()
+        order = None if isinstance(item, str) else _complete_order(item)
         if order is not None:
-            texts.append(f"K{order}")
-        elif node.kind == JOIN:
-            texts.append("+".join(parts))
+            tokens.append(f"K{order}")
+        elif isinstance(item, str):
+            tokens.append(item)
         else:
-            texts.append("(" + "|".join(f"({t})" if "+" in t else t
-                                        for t in parts) + ")")
-    return texts[0]
+            union = item.kind == UNION
+            items: list[CotreeNode | str] = []
+            for child in item.children:
+                if items:
+                    items.append("|" if union else "+")
+                if union and child.kind == JOIN and _complete_order(child) is None:
+                    items += ["(", child, ")"]
+                else:
+                    items.append(child)
+            stack += reversed(["(", *items, ")"] if union else items)
+    return "".join(tokens)
 
 
 # -- materialization ----------------------------------------------------------------

@@ -1,21 +1,21 @@
 """Constructive extraction of connectivity-keeping trees in cographs.
 
-Each public ``keep_*`` operation realizes one existence theorem: it admits
-the input with the :class:`~cographs.embedding.Preserved` tag the theorem
-keeps (judged on the input's ``analyze`` report; the two pair theorems ask
-only for a connected input), checks the theorem's exact minimum-degree
-bound (never attempting best-effort runs below it), builds the subtree copy
-along the proof's case analysis with all choices smallest-label-first
-(placements come from the shared search
-:func:`cographs.embedding._placements`), and checks every result twice
-before returning it: as a copy of the tree (injective, every tree edge on a
-graph edge, the trees of a pair disjoint), and on its residual, built and
-recognized once, through an independent path (closed form plus oracle for
-cograph residuals, flow for edge-deleted residuals); every route decides
-through :meth:`~cographs.embedding.Preserved.holds`.  The result carries
-that residual's report, which ``cograph embed`` prints.  A failed check
-raises :class:`~cographs.errors.PostconditionFailedError`, which signals an
-implementation bug, never bad input.
+All eight ``keep_*`` operations, one per existence theorem, take one path.
+:func:`_inputs` reads the input once (graph, cotree, ``analyze`` report) and
+admits it: six theorems judge the :class:`~cographs.embedding.Preserved` tag
+they keep on that report, and the two pair theorems (:func:`_disjoint_pair`)
+ask only for a connected input.  The theorem's exact minimum-degree bound is
+checked next (no best-effort runs below it), then the proof's case analysis
+builds the copy, smallest label first, placing trees with :func:`_place`,
+the first placement of :func:`cographs.embedding._placements`.  Last,
+:func:`_result` checks the result twice: as a copy of the tree (injective,
+tree edges on graph edges, a pair disjoint), and on its residual, built and
+recognized once, by an independent route (closed form plus oracle for
+cograph residuals, flow for edge-deleted ones), each deciding through
+:meth:`~cographs.embedding.Preserved.holds`.  The result carries that
+residual's report, which ``cograph embed`` prints.  A failed check, or a
+failed placement that the theorem guarantees, raises
+:class:`~cographs.errors.PostconditionFailedError`: a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .analysis import (
     _is_c4_degrees,
     _primary_isolated,
     analyze,
-    as_cotree,
     as_graph_and_cotree,
 )
 from .cotree import (
@@ -37,6 +36,8 @@ from .cotree import (
     cocomponents,
     components,
     cotree_from_graph,
+    join,
+    leaf,
 )
 from .embedding import (
     DeleteMode,
@@ -197,16 +198,26 @@ def _split_primary(ct: Cotree) -> tuple[set[int], list[int], list[Cotree]]:
     return g1, s, parts
 
 
-def _inputs(G: Graph | Cotree, k: int = 1,
-            trees: tuple[TreeShape, ...] = ()) -> tuple[Graph, Cotree, AnalysisReport]:
+def _inputs(G: Graph | Cotree, k: int = 1, trees: tuple[TreeShape, ...] = (),
+            tag=None) -> tuple[Graph, Cotree, AnalysisReport]:
     """Argument checks shared by the ``keep_*`` operations, then the graph,
-    its cotree and its :func:`~cographs.analysis.analyze` report."""
+    its cotree and its :func:`~cographs.analysis.analyze` report, which
+    must have the property ``tag`` when one is given."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if len({T.order for T in trees}) > 1:
         raise ValueError("both trees must have the same order")
     G, ct = as_graph_and_cotree(G)
-    return G, ct, analyze(ct)
+    report = analyze(ct)
+    if tag is not None and not tag.holds(report.to_dict().__getitem__):
+        error, text = {
+            "k_connected": (NotKConnectedError, f"{tag.k}-connected"),
+            "k_edge_connected": (NotKEdgeConnectedError, f"{tag.k}-edge-connected"),
+            "maximally_connected": (NotMaximallyConnectedError, "maximally connected"),
+            "super_edge_connected": (NotSuperError, "super edge-connected"),
+        }[tag.kind]
+        raise error(f"input is not {text}")
+    return G, ct, report
 
 
 def _delta_at_least(report: AnalysisReport, bound: int, case: str | None = None,
@@ -264,10 +275,18 @@ def _verified(G: Graph, *embeddings: Embedding,
     return replace(result, residual_report=report)
 
 
-def _try_embed(fn, *args, **kwargs):
-    """Run an internal placement that the theorem proves cannot fail."""
+def _result(G: Graph, mode: DeleteMode, tag, *placed: tuple[TreeShape, dict],
+            oracle_max_n: int = 0) -> Embedding | DisjointPair:
+    """:func:`_verified` result of one or two ``(tree, mapping)`` items."""
+    return _verified(G, *(Embedding.from_mapping(T, mapping, mode, tag)
+                          for T, mapping in placed), oracle_max_n=oracle_max_n)
+
+
+def _place(G: Graph, T: TreeShape, allowed,
+           partial: dict[int, int] | None = None) -> dict[int, int]:
+    """:func:`_embed_mapping` inside a construction; the theorem guarantees it."""
     try:
-        return fn(*args, **kwargs)
+        return _embed_mapping(G, T, allowed, partial)
     except DegreeTooLowError as exc:
         raise PostconditionFailedError(
             f"construction lost a guaranteed embedding: {exc}") from exc
@@ -299,23 +318,19 @@ def _keep_vertex_connectivity_mapping(G: Graph, ct: Cotree, T: TreeShape,
     case, _ = keep_vertex_connectivity_bound(k, m, n_prime)
 
     if case == "complete":
-        mapping = _try_embed(_embed_mapping, G, T, G.vertices)
+        mapping = _place(G, T, G.vertices)
     elif case == "small_primary":
         _require(len(s) >= k + m, "join side too small for the small-primary case")
-        mapping = _try_embed(_embed_mapping, G, T, s)
-    elif case == "medium_primary":
-        p = n_prime - k
-        _require(len(s) >= k + m - p, "join side too small for the medium case")
-        prefix = _bfs_prefix(T, m - p)
-        partial = _try_embed(_embed_mapping, G, _subtree_shape(T, prefix), s)
-        spare = [v for v in s if v not in set(partial.values())]
-        protected = spare[:k]
-        allowed = set(G.vertices) - set(protected)
-        mapping = _try_embed(_embed_mapping, G, T, allowed, partial=partial)
+        mapping = _place(G, T, s)
     else:
-        protected = s[:k]
-        allowed = set(G.vertices) - set(protected)
-        mapping = _try_embed(_embed_mapping, G, T, allowed)
+        partial = {}
+        if case == "medium_primary":
+            p = n_prime - k
+            _require(len(s) >= k + m - p, "join side too small for the medium case")
+            partial = _place(G, _subtree_shape(T, _bfs_prefix(T, m - p)), s)
+        # keep the first k unused join-side vertices, then place the rest
+        protected = [v for v in s if v not in partial.values()][:k]
+        mapping = _place(G, T, set(G.vertices) - set(protected), partial)
 
     image = set(mapping.values())
     if case != "complete":
@@ -331,15 +346,12 @@ def keep_vertex_connectivity(G: Graph | Cotree, T: TreeShape, k: int) -> Embeddi
     Requires a k-connected cograph meeting the case bound of
     :func:`keep_vertex_connectivity_bound` for its primary cocomponent order.
     """
-    G, ct, report = _inputs(G, k)
     tag = k_connected(k)
-    if not tag.holds(report.to_dict().__getitem__):
-        raise NotKConnectedError(f"input is not {k}-connected")
+    G, ct, report = _inputs(G, k, tag=tag)
     case, bound = keep_vertex_connectivity_bound(k, T.order, report.n_prime)
     _delta_at_least(report, bound, case=case)
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, k)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
-    return _verified(G, emb)
+    return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
 def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
@@ -348,29 +360,37 @@ def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
 
     Requires a connected cograph with delta >= ceil(3 kappa / 2) + m - 1.
     """
+    return _disjoint_pair(G, T1, T2, DeleteMode.VERTEX)
+
+
+def _disjoint_pair(G: Graph | Cotree, T1: TreeShape, T2: TreeShape,
+                   mode: DeleteMode) -> DisjointPair:
+    """Both pair theorems: T1 and T2 go into the first two components of the
+    primary cocomponent, which keep ceil(kappa / 2) spare vertices each under
+    vertex deletion; single-vertex trees for edge deletion take the two
+    smallest labels."""
     G, ct, report = _inputs(G, trees=(T1, T2))
-    m = T1.order
+    m, kappa = T1.order, report.kappa
+    vertex = mode is DeleteMode.VERTEX
     if not report.connected:
         raise BoundViolatedError("a connected cograph is required")
-    kappa = report.kappa
-    _delta_at_least(report, (3 * kappa + 1) // 2 + m - 1,
-                    formula="ceil(3 kappa / 2) + m - 1 = ")
-    g1, _, parts = _split_primary(ct)
-    if len(g1) == 1:
-        # Only K1 with m = 1 reaches this point; its single vertex cannot
-        # host two disjoint trees.
+    spare = (kappa + 1) // 2 if vertex else 0
+    _delta_at_least(report, kappa + spare + m - 1,
+                    formula="ceil(3 kappa / 2) + m - 1 = " if vertex else "")
+    if ct.n == 1:  # K1 meets both bounds with m = 1
         raise BoundViolatedError(
-            "complete graph cannot host two disjoint keeping trees")
-    comps = components(parts[0])
-    c1, c2 = comps[0], comps[1]
-    map1 = _try_embed(_embed_mapping, G, T1, c1.labels)
-    map2 = _try_embed(_embed_mapping, G, T2, c2.labels)
-    spare = (kappa + 1) // 2
-    _require(c1.n - m >= spare and c2.n - m >= spare,
+            "complete graph cannot host two disjoint keeping trees" if vertex
+            else "two disjoint trees need at least two vertices")
+    if m == 1 and not vertex:
+        hosts = [ct.labels[:1], ct.labels[1:2]]
+    else:
+        g1, _, parts = _split_primary(ct)
+        _require(len(g1) >= 2, "bound forces a disconnected primary cocomponent")
+        hosts = [c.labels for c in components(parts[0])[:2]]
+    maps = [_place(G, T, host) for T, host in zip((T1, T2), hosts)]
+    _require(all(len(host) - m >= spare for host in hosts),
              "components do not retain ceil(kappa/2) vertices")
-    emb1 = Embedding.from_mapping(T1, map1, DeleteMode.VERTEX, exact_kappa(kappa))
-    emb2 = Embedding.from_mapping(T2, map2, DeleteMode.VERTEX, exact_kappa(kappa))
-    return _verified(G, emb1, emb2)
+    return _result(G, mode, exact_kappa(kappa), *zip((T1, T2), maps))
 
 
 # -- maximal connectedness keeping tree ---------------------------------------------
@@ -393,11 +413,9 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     delta >= m - 1.  The construction shields one isolated vertex of a
     primary cocomponent and re-establishes a primary cocomponent around it.
     """
-    G, ct, report = _inputs(G)
-    m = T.order
     tag = maximally_connected()
-    if not tag.holds(report.to_dict().__getitem__):
-        raise NotMaximallyConnectedError("input is not maximally connected")
+    G, ct, report = _inputs(G, tag=tag)
+    m = T.order
     if ct.n == m and report.n_prime == 1:
         raise IsKmError(f"input is the complete graph K_{m}")
     delta = _delta_at_least(report, m - 1, error=DegreeTooLowError)
@@ -428,13 +446,12 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
             Y = sorted(g1 - {x})[:len(v2)]
             mapping = _across_mapping(T, X, Y, G)
         elif p <= 0:
-            mapping = _try_embed(_embed_mapping, G, T, s)
+            mapping = _place(G, T, s)
         else:
             mapping = _keep_maximal_balanced(G, T, x, g1, s, parts, k, p, q)
 
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
-    _require(x not in emb.image, "the shielded isolated vertex was deleted")
-    return _verified(G, emb)
+    _require(x not in mapping.values(), "the shielded isolated vertex was deleted")
+    return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
 def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
@@ -506,17 +523,12 @@ def keep_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
 
     Requires a k-connected cograph with delta >= k + m - 1.
     """
-    G, ct, report = _inputs(G, k)
     tag = k_connected(k)
-    if not tag.holds(report.to_dict().__getitem__):
-        raise NotKConnectedError(f"input is not {k}-connected")
+    G, ct, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, k + T.order - 1)
     _, s, _ = _split_primary(ct)
-    protected = s[:k]
-    allowed = set(G.vertices) - set(protected)
-    mapping = _try_embed(_embed_mapping, G, T, allowed)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE, tag)
-    return _verified(G, emb)
+    mapping = _place(G, T, set(G.vertices) - set(s[:k]))
+    return _result(G, DeleteMode.EDGE, tag, (T, mapping))
 
 
 def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
@@ -525,27 +537,7 @@ def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
 
     Requires a connected cograph with delta >= kappa + m - 1.
     """
-    G, ct, report = _inputs(G, trees=(T1, T2))
-    m = T1.order
-    if not report.connected:
-        raise BoundViolatedError("a connected cograph is required")
-    kappa = report.kappa
-    _delta_at_least(report, kappa + m - 1)
-    if m == 1:
-        if ct.n < 2:
-            raise BoundViolatedError(
-                "two disjoint trees need at least two vertices")
-        map1 = {T1.tree.vertices[0]: ct.labels[0]}
-        map2 = {T2.tree.vertices[0]: ct.labels[1]}
-    else:
-        g1, _, parts = _split_primary(ct)
-        _require(len(g1) >= 2, "bound forces a disconnected primary cocomponent")
-        comps = components(parts[0])
-        map1 = _try_embed(_embed_mapping, G, T1, comps[0].labels)
-        map2 = _try_embed(_embed_mapping, G, T2, comps[1].labels)
-    emb1 = Embedding.from_mapping(T1, map1, DeleteMode.EDGE, exact_kappa(kappa))
-    emb2 = Embedding.from_mapping(T2, map2, DeleteMode.EDGE, exact_kappa(kappa))
-    return _verified(G, emb1, emb2)
+    return _disjoint_pair(G, T1, T2, DeleteMode.EDGE)
 
 
 # -- edge connectivity keeping tree, vertex deletion ------------------------------------
@@ -559,14 +551,11 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
     residual stays connected and connected cographs are maximally
     edge-connected.
     """
-    G, ct, report = _inputs(G, k)
     tag = k_edge_connected(k)
-    if not tag.holds(report.to_dict().__getitem__):
-        raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
+    G, ct, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, k + T.order - (1 if k == 1 else 0))
     mapping = _keep_vertex_connectivity_mapping(G, ct, T, 1)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
-    return _verified(G, emb, oracle_max_n=G.n)
+    return _result(G, DeleteMode.VERTEX, tag, (T, mapping), oracle_max_n=G.n)
 
 
 # -- super edge-connectedness keeping tree ------------------------------------------------
@@ -579,20 +568,18 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
 
     Requires a super edge-connected cograph with delta >= m + 2.
     """
-    G, ct, report = _inputs(G)
     tag = super_edge_connected()
-    if not tag.holds(report.to_dict().__getitem__):
-        raise NotSuperError("input is not super edge-connected")
+    G, ct, report = _inputs(G, tag=tag)
     _delta_at_least(report, T.order + 2)
     g1, s, parts = _split_primary(ct)
 
     if len(g1) == 1:
-        mapping = _try_embed(_embed_mapping, G, T, G.vertices)
+        mapping = _place(G, T, G.vertices)
     elif len(s) >= 2:
         mapping = _keep_vertex_connectivity_mapping(G, ct, T, 2)
         image = set(mapping.values())
-        residual = delete_vertices(G, image)
-        if _is_c4_degrees({v: residual.degree(v) for v in residual.vertices}):
+        if _is_c4_degrees({v: len(G.neighbors(v) - image)
+                           for v in G.vertices if v not in image}):
             # swap one leaf into the primary cocomponent to kill the C4
             _require(not (image & g1),
                      "a C4 residual forces the tree outside the primary part")
@@ -601,8 +588,8 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     else:
         mapping = _super_single_join_vertex(G, ct, T, parts)
 
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.VERTEX, tag)
-    return _verified(G, emb, oracle_max_n=_SUPER_BRUTE_CAP)
+    return _result(G, DeleteMode.VERTEX, tag, (T, mapping),
+                   oracle_max_n=_SUPER_BRUTE_CAP)
 
 
 def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
@@ -656,14 +643,14 @@ def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
     else:
         # single hub inside the component: embed within one part of prim
         comp0 = prim_comps[0]
-        mapping = _try_embed(_embed_mapping, G, T, comp0.labels)
+        mapping = _place(G, T, comp0.labels)
         _require(len(set(comp0.labels) - set(mapping.values())) >= 1,
                  "no spare vertex left in the host component")
         return mapping
 
     partial = {support_t: w_img, leaf_t: z_img}
     allowed = tlabels - protected
-    mapping = _try_embed(_embed_mapping, G, T, allowed, partial=partial)
+    mapping = _place(G, T, allowed, partial)
     image = set(mapping.values())
     edge_side = set(sp) if sp_edges else prim_labels
     if not (edge_side - image):
@@ -695,7 +682,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
         return {T.tree.vertices[0]: min(G.vertices)}
     while True:
         g1, s, parts = _split_primary(ct)
-        mapping = _try_embed(_embed_mapping, G, T, G.vertices)
+        mapping = _place(G, T, G.vertices)
         if len(g1) == 1:
             return mapping
         v2_img = _class_image(T, mapping, 1)
@@ -718,7 +705,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
             a_t, b_t = _smallest_cross_tree_edge(T)
             u, v = s_edges[0]
             partial = {a_t: u, b_t: v}
-            mapping = _try_embed(_embed_mapping, G, T, G.vertices, partial=partial)
+            mapping = _place(G, T, G.vertices, partial)
             _require(delete_vertices(G, _class_image(T, mapping, 1)).is_connected(),
                      "re-rooted embedding still disconnects the graph")
             return mapping
@@ -728,8 +715,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
             (support_t,) = T.tree.neighbors(leaf_t)
             w, z = s[0], s[1]
             rest = _subtree_shape(T, [t for t in T.tree.vertices if t != leaf_t])
-            partial = _try_embed(_embed_mapping, G, rest,
-                                 set(G.vertices) - {w}, partial={support_t: z})
+            partial = _place(G, rest, set(G.vertices) - {w}, {support_t: z})
             spare = sorted(g1 - set(partial.values()))
             _require(bool(spare), "no room to finish the tree inside the primary part")
             mapping = dict(partial)
@@ -746,7 +732,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
         sub = induced_subgraph(G, set(comp.labels) | {w})
         _require(sub.min_degree() >= G.min_degree(),
                  "recursion lost the degree bound")
-        G, ct = sub, as_cotree(sub)
+        G, ct = sub, Cotree(join([comp.root, leaf(w)]))
 
 
 def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
@@ -757,11 +743,8 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     delta >= max(k + Delta(T) + beta(T) - 1, m - 1); this is never larger
     than k + m - 1.
     """
-    G, ct, report = _inputs(G, k)
     tag = k_edge_connected(k)
-    if not tag.holds(report.to_dict().__getitem__):
-        raise NotKEdgeConnectedError(f"input is not {k}-edge-connected")
+    G, ct, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, max(k + T.max_degree + T.beta - 1, T.order - 1))
     mapping = _keep_edge_conn_mapping(G, ct, T)
-    emb = Embedding.from_mapping(T, mapping, DeleteMode.EDGE, tag)
-    return _verified(G, emb)
+    return _result(G, DeleteMode.EDGE, tag, (T, mapping))

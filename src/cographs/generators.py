@@ -216,8 +216,6 @@ def random_tree(m: int, seed: int) -> TreeShape:
         raise ValueError("m must be positive")
     if m == 1:
         return TreeShape.from_graph(Graph([0], []))
-    if m == 2:
-        return TreeShape.from_graph(Graph.from_edges(2, [(0, 1)]))
     rng = random.Random(seed)
     seq = [rng.randrange(m) for _ in range(m - 2)]
     return TreeShape.from_graph(Graph.from_edges(m, _prufer_to_edges(seq, m)))

@@ -18,8 +18,11 @@ from cographs import (
 )
 from cographs.analysis import degrees
 from cographs.cotree import (
+    JOIN,
     Cotree,
     RecognitionResult,
+    _complete_order,
+    _preorder,
     find_induced_p4,
     format_expression,
     join,
@@ -346,3 +349,21 @@ def first_mapping_twice(real):
         return dict(first[0])
 
     return fake
+
+
+def format_by_copies(ct: Cotree) -> str:
+    """Reference formatter: each subtree's text is built, then copied into
+    its parent's; a union child is parenthesized when its text has a "+"."""
+    texts: list[str] = []  # one per finished subtree, siblings in order
+    for node in reversed(_preorder(ct.root)):
+        parts = texts[len(texts) - len(node.children):]
+        del texts[len(texts) - len(node.children):]
+        order = _complete_order(node)
+        if order is not None:
+            texts.append(f"K{order}")
+        elif node.kind == JOIN:
+            texts.append("+".join(parts))
+        else:
+            texts.append("(" + "|".join(f"({t})" if "+" in t else t
+                                        for t in parts) + ")")
+    return texts[0]

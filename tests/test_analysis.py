@@ -1,6 +1,7 @@
 """Closed-form invariants and classifiers against the flow/brute oracles."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from conftest import all_graphs, cograph_stream, has_induced_p4_scan
@@ -198,3 +199,15 @@ class TestEdgeDeletionLemma:
                 == kappa_cograph(ct)
             checked += 1
         assert checked >= 30
+
+
+class TestReportDict:
+    def test_keys_follow_the_field_order(self):
+        rep = analyze(parse_expression("(K3|K2)+K4"))
+        assert list(rep.to_dict()) == [
+            "n", "n_prime", "t", "delta", "Delta", "kappa", "lambda",
+            "connected", "maximally_connected", "maximally_edge_connected",
+            "super_edge_connected", "ideally_connected", "dirac",
+            "super_by_convention"]
+        assert list(rep.to_dict().values()) \
+            == [getattr(rep, f.name) for f in fields(rep)]

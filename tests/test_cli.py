@@ -687,3 +687,71 @@ class TestAdmissionGolden:
     def test_stdout(self, capsys, argv, error, kind):
         out = json.dumps({"error": error, "type": kind}) + "\n"
         assert run(capsys, "embed", *argv.split()) == (3, out)
+
+
+def _verify_stdout(kappa, ideal_skipped):
+    ideal = {"name": "ideal_vs_disjoint_paths", "ok": True}
+    if ideal_skipped:
+        ideal["skipped"] = True
+    return json.dumps({"checks": [
+        {"name": "closed_form_kappa_vs_flow", "ok": True,
+         "closed_form": kappa, "flow": kappa},
+        {"name": "closed_form_lambda_vs_flow", "ok": True,
+         "closed_form": kappa, "flow": kappa},
+        {"name": "maximally_connected_vs_flow", "ok": True},
+        {"name": "super_vs_min_cut_enumeration", "ok": True, "skipped": True},
+        ideal], "all_ok": True}) + "\n"
+
+
+class TestRarePaths:
+    """Branches of the CLI and of the constructions that no other test
+    takes; the expected output is the parent implementation's."""
+
+    @pytest.mark.parametrize("expr,kappa,ideal_skipped", [
+        ("K17", 16, True),                # over the cut cap: both skipped
+        ("(K1|K1|K1)+K14", 14, True),
+        ("K3|K2", 0, False),              # disconnected: no cut enumeration
+    ])
+    def test_verify_skipped_checks(self, capsys, expr, kappa, ideal_skipped):
+        assert run(capsys, "verify", "--expr", expr) \
+            == (0, _verify_stdout(kappa, ideal_skipped))
+
+    @pytest.mark.parametrize("argv,message", [
+        (("embed", "--expr", "K4", "--theorem", "th1", "--tree", "path:2",
+          "--tree2", "path:2", "-k", "1"),
+         "--theorem th1 does not take --tree2"),
+        (("gen", "--tight", "th1case1"), "--tight takes kind:k,m or kind:m"),
+        (("gen", "--tight", "th1case1:1,2,3"),
+         "--tight takes at most two parameters"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+
+    def test_superkeep_single_vertex_on_the_join_side(self, capsys):
+        # G = H + K1; the host component's primary part leaves two vertices
+        residual = {"cograph": True, "n": 8, "n_prime": 7, "t": 2, "delta": 2,
+                    "Delta": 7, "kappa": 1, "lambda": 2, "connected": True,
+                    "maximally_connected": False,
+                    "maximally_edge_connected": True,
+                    "super_edge_connected": True, "ideally_connected": False,
+                    "dirac": False, "super_by_convention": False}
+        out = json.dumps({"mode": "vertex", "preserved": "super_edge_connected",
+                          "map": [[0, 2]], "residual": residual}) + "\n"
+        assert run(capsys, "embed", "--expr", "(((K1|K1)+(K1|K1))|K4)+K1",
+                   "--theorem", "superkeep", "--tree", "path:1") == (0, out)
+
+    @pytest.mark.parametrize("argv", [
+        ("--expr", "K4", "--theorem", "th3", "--tree", "path:2", "-k", "1"),
+        ("--expr", "(K3|K3)+K1", "--theorem", "th4", "--tree", "path:2"),
+    ])
+    def test_failed_internal_placement_exits_4(self, capsys, monkeypatch, argv):
+        import cographs.embed as embed_module
+        monkeypatch.setattr(embed_module, "_placements",
+                            lambda *args, **kwargs: iter(()))
+        out = json.dumps({
+            "error": "construction lost a guaranteed embedding: no embedding "
+                     "of a 2-vertex tree into the 3-vertex allowed set",
+            "type": "PostconditionFailedError"}) + "\n"
+        assert run(capsys, "embed", *argv) == (4, out)

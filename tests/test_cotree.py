@@ -5,6 +5,7 @@ from conftest import (
     RecursiveParser,
     all_graphs,
     cograph_stream,
+    format_by_copies,
     has_induced_p4_scan,
     parse_outcome,
     recognition_outcome,
@@ -17,13 +18,14 @@ from cographs import (
     components,
     cotree_from_graph,
     delete_vertices,
+    enumerate_cotrees,
     find_induced_p4,
     format_expression,
     materialize,
     parse_expression,
     random_cotree,
 )
-from cographs.cotree import JOIN, UNION
+from cographs.cotree import JOIN, UNION, Cotree, join, leaf, union
 from cographs.errors import (
     ArityError,
     ExpressionSyntaxError,
@@ -225,3 +227,30 @@ class TestDecompositionViews:
         assert parse_expression("K1").is_connected()
         assert parse_expression("K2+K1").is_connected()
         assert not parse_expression("K2|K2").is_connected()
+
+
+class TestFormatterAgainstCopies:
+    """The one-pass formatter writes the text of the formatter that copies
+    each subtree's text into its parent's (``conftest.format_by_copies``)."""
+
+    def test_every_cotree_of_order_at_most_8(self):
+        count = 0
+        for n in range(1, 9):
+            for ct in enumerate_cotrees(n):
+                assert format_expression(ct) == format_by_copies(ct)
+                count += 1
+        assert count == 809
+
+    def test_seeded_random_cotrees(self):
+        for seed in range(300):
+            ct = random_cotree(1 + seed % 60, seed, join_bias=(seed % 3) / 2)
+            assert format_expression(ct) == format_by_copies(ct)
+
+    def test_threshold_cotree_nested_10_to_the_5_deep(self):
+        node = leaf(0)
+        for i in range(1, 100_001):
+            node = (union if i % 2 else join)([node, leaf(i)])
+        ct = Cotree(node)
+        text = format_expression(ct)
+        assert text == format_by_copies(ct)
+        assert text.startswith("(" * 50_000) and len(text) == 500_000

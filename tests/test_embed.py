@@ -650,3 +650,69 @@ class TestVerifier:
         with pytest.raises(PostconditionFailedError,
                            match=r"k_edge_connected\(3\) \(oracle\)"):
             embed_module._verified(Graph.complete(4), emb)
+
+
+def _no_placements(*args, **kwargs):
+    return iter(())
+
+
+class TestSharedPath:
+    @pytest.mark.parametrize("keep,expr,args", TestVerifier.CALLS)
+    def test_cotree_input_gives_the_graph_result(self, keep, expr, args):
+        trees = [named_tree(a) if isinstance(a, str) else a for a in args]
+        from_cotree = keep(parse_expression(expr), *trees)
+        from_graph = keep(G_of(expr), *trees)
+        assert from_cotree == from_graph
+        assert from_cotree.residual_report == from_graph.residual_report
+
+    def test_cotree_input_result(self):
+        result = keep_vertex_connectivity(parse_expression("(K1|K1|K1)+K3"),
+                                          named_tree("star:2"), 1)
+        assert result.to_dict() == {"mode": "vertex",
+                                    "preserved": "k_connected(1)",
+                                    "map": [[0, 0], [1, 4]]}
+        assert result.residual_report == {
+            "cograph": True, "n": 4, "n_prime": 2, "t": 3, "delta": 2,
+            "Delta": 3, "kappa": 2, "lambda": 2, "connected": True,
+            "maximally_connected": True, "maximally_edge_connected": True,
+            "super_edge_connected": True, "ideally_connected": True,
+            "dirac": True, "super_by_convention": False}
+
+    LOST = ("construction lost a guaranteed embedding: no embedding of a "
+            "2-vertex tree into the 3-vertex allowed set")
+
+    @pytest.mark.parametrize("keep,expr,args", [
+        (keep_vertex_connectivity, "K4", ("path:2", 1)),
+        (keep_vertex_connectivity_two, "(K3|K3)+K1", ("path:2", "path:2")),
+        (keep_connectivity_edge_delete, "K4", ("path:2", 1)),
+        (keep_connectivity_edge_delete_two, "(K3|K3)+K1", ("path:2", "path:2")),
+        (keep_edge_connectivity_edge_delete, "(K3|K3)+K1", ("path:2", 1)),
+    ])
+    def test_failed_internal_placement_is_a_bug(self, keep, expr, args,
+                                                monkeypatch):
+        monkeypatch.setattr(embed_module, "_placements", _no_placements)
+        trees = [named_tree(a) if isinstance(a, str) else a for a in args]
+        with pytest.raises(PostconditionFailedError) as info:
+            keep(G_of(expr), *trees)
+        assert str(info.value).startswith(
+            "construction lost a guaranteed embedding: no embedding of a ")
+        assert type(info.value.__cause__) is DegreeTooLowError
+
+    def test_failed_internal_placement_text(self, monkeypatch):
+        monkeypatch.setattr(embed_module, "_placements", _no_placements)
+        with pytest.raises(PostconditionFailedError, match=re.escape(self.LOST)):
+            keep_connectivity_edge_delete(G_of("K4"), named_tree("path:2"), 1)
+
+    def test_public_placements_keep_their_errors(self, monkeypatch):
+        monkeypatch.setattr(embed_module, "_placements", _no_placements)
+        G, T = G_of("K4"), named_tree("path:2")
+        with pytest.raises(DegreeTooLowError) as info:
+            greedy_embed(G, T)
+        assert type(info.value) is DegreeTooLowError
+        with pytest.raises(DegreeTooLowError):
+            extend_embedding(G, {0: 0}, T)
+
+    def test_internal_partial_map_is_still_checked(self):
+        G, T = G_of("K1|K3"), named_tree("path:3")
+        with pytest.raises(ValueError, match="does not preserve edges"):
+            embed_module._place(G, T, G.vertices, {0: 0, 1: 1})

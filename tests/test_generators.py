@@ -3,6 +3,7 @@
 import pytest
 
 from cographs import (
+    Graph,
     analyze,
     enumerate_cotrees,
     materialize,
@@ -216,3 +217,10 @@ class TestEnumerateCotrees:
         for ct in enumerate_cotrees(5):
             G = materialize(ct)
             assert min(degrees(ct).values()) == G.min_degree()
+
+
+class TestRandomTreeOfOrderTwo:
+    def test_every_seed_gives_the_single_edge(self):
+        # the empty Pruefer sequence decodes to the edge (0, 1)
+        for seed in range(20):
+            assert random_tree(2, seed).tree == Graph.from_edges(2, [(0, 1)])
