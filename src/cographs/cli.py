@@ -19,14 +19,8 @@ from .analysis import analyze
 from .cotree import cotree_from_graph, format_expression, materialize, parse_expression
 from .errors import CographError, PostconditionFailedError
 from .generators import named_tree, random_cotree, tight_example
-from .graph import (
-    Graph,
-    edge_connectivity_flow,
-    internally_disjoint_paths,
-    read_edge_list,
-    vertex_connectivity_flow,
-)
-from .oracle import DEFAULT_CUT_CAP, min_edge_cuts
+from .graph import Graph, read_edge_list
+from .oracle import DEFAULT_CUT_CAP, _flow_values
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,36 +144,30 @@ def _run_embed(args) -> tuple[dict, int]:
 def _run_verify(args) -> tuple[dict, int]:
     G = _load_graph(args)
     report = analyze(G)
-    checks = []
+    flow = _flow_values(G)
     skipped = {"ok": True, "skipped": True}
-
-    kappa_flow = vertex_connectivity_flow(G)
-    checks.append({"name": "closed_form_kappa_vs_flow",
-                   "ok": report.kappa == kappa_flow,
-                   "closed_form": report.kappa, "flow": kappa_flow})
-    lambda_flow = edge_connectivity_flow(G)
-    checks.append({"name": "closed_form_lambda_vs_flow",
-                   "ok": report.lambda_ == lambda_flow,
-                   "closed_form": report.lambda_, "flow": lambda_flow})
-    checks.append({"name": "maximally_connected_vs_flow",
-                   "ok": report.maximally_connected
-                   == (kappa_flow == report.delta)})
+    checks = [
+        {"name": "closed_form_kappa_vs_flow",
+         "ok": report.kappa == flow["kappa"],
+         "closed_form": report.kappa, "flow": flow["kappa"]},
+        {"name": "closed_form_lambda_vs_flow",
+         "ok": report.lambda_ == flow["lambda"],
+         "closed_form": report.lambda_, "flow": flow["lambda"]},
+        {"name": "maximally_connected_vs_flow",
+         "ok": report.maximally_connected == flow["maximally_connected"]},
+    ]
     if report.connected and G.n <= DEFAULT_CUT_CAP:
-        cuts = min_edge_cuts(G)
-        all_isolate = all(c.isolates is not None for c in cuts)
+        cuts = flow["min_edge_cuts"]
         checks.append({"name": "super_vs_min_cut_enumeration",
-                       "ok": report.super_edge_connected == all_isolate,
+                       "ok": report.super_edge_connected
+                       == flow["super_edge_connected"],
                        "minimum_cut_size": cuts[0].size if cuts else None})
     else:
         checks.append({"name": "super_vs_min_cut_enumeration", **skipped})
     if G.n <= DEFAULT_CUT_CAP:
-        ideal_truth = all(
-            internally_disjoint_paths(G, u, v)
-            >= min(G.degree(u), G.degree(v))
-            for i, u in enumerate(G.vertices)
-            for v in G.vertices[i + 1:])
         checks.append({"name": "ideal_vs_disjoint_paths",
-                       "ok": report.ideally_connected == ideal_truth})
+                       "ok": report.ideally_connected
+                       == flow["ideally_connected"]})
     else:
         checks.append({"name": "ideal_vs_disjoint_paths", **skipped})
 

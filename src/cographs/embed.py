@@ -10,12 +10,13 @@ builds the copy, smallest label first, placing trees with :func:`_place`,
 the first placement of :func:`cographs.embedding._placements`.  Last,
 :func:`_result` checks the result twice: as a copy of the tree (injective,
 tree edges on graph edges, a pair disjoint), and on its residual, built and
-recognized once, by an independent route (closed form plus oracle for
-cograph residuals, flow for edge-deleted ones), each deciding through
-:meth:`~cographs.embedding.Preserved.holds`.  The result carries that
-residual's report, which ``cograph embed`` prints.  A failed check, or a
-failed placement that the theorem guarantees, raises
-:class:`~cographs.errors.PostconditionFailedError`: a bug, never bad input.
+recognized once, by two routes that each decide through
+:meth:`~cographs.embedding.Preserved.holds`: the closed-form report of a
+vertex-deleted residual, and :class:`cographs.oracle._flow_values` of an
+edge-deleted one.  The result carries the residual's report, which
+``cograph embed`` prints.  A failed check, or a failed placement that the
+theorem guarantees, raises :class:`~cographs.errors.PostconditionFailedError`:
+a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -66,11 +67,9 @@ from .graph import (
     Graph,
     TreeShape,
     delete_vertices,
-    edge_connectivity_flow,
     induced_subgraph,
-    vertex_connectivity_flow,
 )
-from .oracle import residual_satisfies
+from .oracle import _flow_values
 
 __all__ = [
     "greedy_embed",
@@ -240,11 +239,9 @@ def _verified(G: Graph, *embeddings: Embedding,
 
     Each embedding must be a copy of its tree in G.  The residual is built
     and recognized once.  ``Preserved.holds`` judges the ``analyze`` report
-    of a vertex-deleted cograph residual (closed form), the flow/cut oracle
-    an edge-deleted one (and any up to ``oracle_max_n`` vertices).  Any
-    other residual is edge-deleted; ``vertex_connectivity_flow`` and
-    ``edge_connectivity_flow``, each a loop of several max-flows, fill its
-    kappa and lambda, and ``holds`` judges that report (flow).
+    of a vertex-deleted residual (closed form) and the ``_flow_values`` of
+    an edge-deleted one or any up to ``oracle_max_n`` vertices (oracle; flow
+    when the residual is not a cograph, whose report they then fill).
     """
     head = embeddings[0]
     try:
@@ -256,22 +253,20 @@ def _verified(G: Graph, *embeddings: Embedding,
             f"result is not a copy of the tree: {exc}") from exc
     prop = head.preserved
     residual = result.residual(G)
+    values = _flow_values(residual)
     rct = cotree_from_graph(residual).cotree
     if rct is None:
-        report = {"cograph": False, "n": residual.n,
-                  "delta": residual.min_degree(),
-                  "kappa": vertex_connectivity_flow(residual),
-                  "lambda": edge_connectivity_flow(residual)}
-        _require(prop.holds(report.__getitem__),
-                 f"residual is not {prop.tag()} (flow)")
+        report = {"cograph": False, **{key: values[key] for key in
+                                       ("n", "delta", "kappa", "lambda")}}
     else:
         report = {"cograph": True, **analyze(rct).to_dict()}
-        if head.mode is DeleteMode.VERTEX:
-            _require(prop.holds(report.__getitem__),
-                     f"residual is not {prop.tag()} (closed form)")
-        if head.mode is DeleteMode.EDGE or residual.n <= oracle_max_n:
-            _require(residual_satisfies(G, residual, prop),
-                     f"residual is not {prop.tag()} (oracle)")
+    if head.mode is DeleteMode.VERTEX:
+        _require(prop.holds(report.__getitem__),
+                 f"residual is not {prop.tag()} (closed form)")
+    if head.mode is DeleteMode.EDGE or residual.n <= oracle_max_n:
+        route = "flow" if rct is None else "oracle"
+        _require(prop.holds(values.__getitem__),
+                 f"residual is not {prop.tag()} ({route})")
     return replace(result, residual_report=report)
 
 
@@ -573,9 +568,7 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     _delta_at_least(report, T.order + 2)
     g1, s, parts = _split_primary(ct)
 
-    if len(g1) == 1:
-        mapping = _place(G, T, G.vertices)
-    elif len(s) >= 2:
+    if len(s) >= 2:
         mapping = _keep_vertex_connectivity_mapping(G, ct, T, 2)
         image = set(mapping.values())
         if _is_c4_degrees({v: len(G.neighbors(v) - image)

@@ -7,9 +7,9 @@ to a distinct graph vertex so that tree edges land on graph edges.  The
 ``residual_report`` of a ``keep_*`` result (outside ``==``, ``hash``,
 ``repr`` and ``to_dict()``) is what its verifier found on the residual.
 
-:meth:`Preserved.holds` is the only code that says what a tag means; the
-closed form, flow and oracle routes differ only in how they compute the
-invariants it asks for.
+:meth:`Preserved.holds` is the only code that says what a tag means; it
+reads the invariants it asks for either from a closed-form ``analyze``
+report or from :class:`cographs.oracle._flow_values`, the flow and cut route.
 
 :func:`_placements` is the one placement search: it yields every way to
 place a tree inside an allowed vertex set, smallest labels first.  The

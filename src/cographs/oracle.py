@@ -1,12 +1,12 @@
 """Independent brute-force ground truth for desk-scale verification.
 
-Nothing in this module consults the closed-form classifiers: residual
-properties are judged by :meth:`~cographs.embedding.Preserved.holds`, the
-rule every route shares, on values from the flow oracle and from explicit
-cut enumeration, so an agreement between a constructive routine and an
-exhaustive search here is genuine evidence.  Size caps are ``cap``
-parameters with conservative defaults and raise hard errors instead of
-silently truncating.
+Nothing in this module consults the closed-form classifiers: each value of
+the independent route (flow, cut enumeration, disjoint paths) is written
+once, in :class:`_flow_values`, and residuals are judged on those values by
+:meth:`~cographs.embedding.Preserved.holds`, the rule every route shares,
+so an agreement between a constructive routine and an exhaustive search
+here is genuine evidence.  Size caps are ``cap`` parameters with
+conservative defaults and raise hard errors instead of silently truncating.
 
 Subtree copies come from :func:`cographs.embedding._placements`, the one
 placement search, which the constructions in :mod:`cographs.embed` also use;
@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     TreeShape,
     edge_connectivity_flow,
+    internally_disjoint_paths,
     vertex_connectivity_flow,
 )
 
@@ -107,28 +108,35 @@ def has_induced_2k2(G: Graph) -> bool:
 
 
 def residual_satisfies(G: Graph, residual: Graph, prop: Preserved) -> bool:
-    """``prop.holds`` on flow and cut values of ``residual``, each computed
-    only when it is asked for; ``G`` is not read."""
-    values = {
-        "n": lambda: residual.n,
-        "kappa": lambda: vertex_connectivity_flow(residual),
-        "lambda": lambda: edge_connectivity_flow(residual),
-        "maximally_connected": lambda: (vertex_connectivity_flow(residual)
-                                        == residual.min_degree()),
-        "super_edge_connected": lambda: _super_by_cuts(residual),
+    """``prop.holds`` on the flow values of ``residual``; ``G`` is unread."""
+    return prop.holds(_flow_values(residual).__getitem__)
+
+
+class _flow_values(dict):
+    """Each value of G by its rule, computed on first lookup and kept for this
+    G only; the rules get this dict as an argument, so it holds no cycle."""
+
+    RULES = {
+        "n": lambda G, value: G.n,
+        "delta": lambda G, value: G.min_degree(),
+        "kappa": lambda G, value: vertex_connectivity_flow(G),
+        "lambda": lambda G, value: edge_connectivity_flow(G),
+        "maximally_connected": lambda G, value: value["kappa"] == value["delta"],
+        "min_edge_cuts": lambda G, value: min_edge_cuts(G, cap=G.n),
+        "super_edge_connected": lambda G, value: (
+            all(c.isolates is not None for c in value["min_edge_cuts"])
+            if G.is_connected() else len(G.isolated_vertices()) == 1),
+        "ideally_connected": lambda G, value: all(
+            internally_disjoint_paths(G, u, v) >= min(G.degree(u), G.degree(v))
+            for i, u in enumerate(G.vertices) for v in G.vertices[i + 1:]),
     }
-    return prop.holds(lambda key: values[key]())
 
+    def __init__(self, G: Graph):
+        self.G = G
 
-def _super_by_cuts(G: Graph) -> bool:
-    """Every minimum edge cut isolates a vertex, by cut enumeration.  K1
-    counts as super, a disconnected graph when it has one isolated vertex."""
-    if G.n == 1:
-        return True
-    if not G.is_connected():
-        return len(G.isolated_vertices()) == 1
-    cuts = min_edge_cuts(G, cap=max(G.n, DEFAULT_CUT_CAP))
-    return all(record.isolates is not None for record in cuts)
+    def __missing__(self, key: str):
+        value = self[key] = self.RULES[key](self.G, self)
+        return value
 
 
 def exhaustive_keeping_search(G: Graph, T: TreeShape, prop: Preserved,

@@ -513,6 +513,53 @@ def _two_hubs(adjacent):
     return format_edge_list(Graph.from_edges(8, edges))
 
 
+def _two_triangles(A, B, hubs, adjacent):
+    """Triangles A and B, both joined to the two hubs; the hubs are adjacent
+    when ``adjacent``."""
+    edges = [(a, b) for part in (A, B) for a, b in combinations(part, 2)]
+    edges += [(h, v) for h in hubs for v in A + B]
+    if adjacent:
+        edges.append(tuple(hubs))
+    return format_edge_list(Graph.from_edges(8, edges))
+
+
+class TestTh5RepairsUnpatched:
+    """th5's two repairs of a first placement that disconnects the graph,
+    reached by plain inputs; ``partials`` are the partial maps the
+    placements start from, the second one naming the repair."""
+
+    CASES = [
+        # re-rooting: the tree edge 0-1 goes on the hub edge 1-3
+        (([0, 2, 5], [4, 6, 7], [1, 3], True),
+         [None, {0: 1, 1: 3}], [[0, 1], [1, 3], [2, 0], [3, 2], [4, 5]]),
+        # leaf surgery: the rest of the tree hangs from hub 2
+        (([0, 3, 4], [5, 6, 7], [1, 2], False),
+         [None, {1: 2}], [[0, 5], [1, 2], [2, 0], [3, 3], [4, 4]]),
+    ]
+
+    @pytest.mark.parametrize("graph,partials,mapping", CASES)
+    def test_stdout(self, capsys, monkeypatch, graph, partials, mapping):
+        import io
+
+        import cographs.embed as embed_module
+        seen = []
+        real = embed_module._embed_mapping
+
+        def spy(G, T, allowed, partial=None):
+            seen.append(partial)
+            return real(G, T, allowed, partial)
+
+        monkeypatch.setattr(embed_module, "_embed_mapping", spy)
+        monkeypatch.setattr("sys.stdin", io.StringIO(_two_triangles(*graph)))
+        out = json.dumps({
+            "mode": "edge", "preserved": "k_edge_connected(1)", "map": mapping,
+            "residual": {"cograph": False, "n": 8, "delta": 2, "kappa": 2,
+                         "lambda": 2}}) + "\n"
+        assert run(capsys, "embed", "--theorem", "th5", "-k", "1",
+                   "--tree", "path:5", "-") == (0, out)
+        assert seen == partials
+
+
 class TestEmbedGolden:
     """Pinned stdout of ``cograph embed``: every theorem, the flow branch of
     the residual report, both leaf swaps of superkeep, both repairs of th5,

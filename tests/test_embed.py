@@ -1,13 +1,16 @@
 """Constructive keeping-tree operations: examples, branches, verification."""
 
+import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from conftest import first_mapping_twice, tree_for, two_component_cograph
 
 import cographs.embed as embed_module
+import cographs.oracle as oracle_module
 from cographs import (
     Graph,
     edge_connectivity_flow,
@@ -34,7 +37,7 @@ from cographs import (
     vertex_connectivity_flow,
 )
 from cographs.analysis import analyze, degrees, kappa_cograph
-from cographs.cli import _THEOREMS
+from cographs.cli import _THEOREMS, main
 from cographs.cotree import cocomponents, cotree_from_graph
 from cographs.embedding import (
     DeleteMode,
@@ -370,6 +373,20 @@ class TestKeepSuperEdgeConnectivity:
         emb.check(G)
         assert residual_satisfies(G, emb.residual(G), super_edge_connected())
 
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_complete_input_takes_the_connectivity_construction(self, n):
+        # every admitted path:m and star:m (m <= n - 3) lands on 0 .. m-1,
+        # the map of the k = 2 vertex-connectivity construction
+        G = Graph.complete(n)
+        ct = cotree_from_graph(G).cotree
+        for m in range(1, n - 2):
+            for kind in ("path", "star"):
+                T = named_tree(f"{kind}:{m}")
+                emb = keep_super_edge_connectivity(G, T)
+                assert emb.pairs == tuple((t, t) for t in range(m))
+                assert emb.mapping == \
+                    embed_module._keep_vertex_connectivity_mapping(G, ct, T, 2)
+
     def test_not_super_rejected(self):
         with pytest.raises(NotSuperError):
             keep_super_edge_connectivity(G_of("(K1|K1)+(K1|K1)"),
@@ -650,6 +667,46 @@ class TestVerifier:
         with pytest.raises(PostconditionFailedError,
                            match=r"k_edge_connected\(3\) \(oracle\)"):
             embed_module._verified(Graph.complete(4), emb)
+
+
+class TestFlowValuesOncePerGraph:
+    """Each flow and cut value of :class:`cographs.oracle._flow_values` runs
+    at most once per graph, however many checks read it."""
+
+    WRAPPED = ("vertex_connectivity_flow", "edge_connectivity_flow",
+               "min_edge_cuts")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        graphs = []  # kept alive, so that no two graphs share an id
+
+        def counted(name, real):
+            def wrapper(G, *args, **kwargs):
+                graphs.append(G)
+                counts[name, id(G)] += 1
+                return real(G, *args, **kwargs)
+            return wrapper
+
+        for name in self.WRAPPED:
+            monkeypatch.setattr(oracle_module, name,
+                                counted(name, getattr(oracle_module, name)))
+        return counts
+
+    def test_verify(self, calls, capsys):
+        assert main(["verify", "--expr", "(K2|K2)+K1"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_ok"]
+        assert sorted(name for name, _ in calls) == sorted(self.WRAPPED)
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("index,wrapped", [
+        (9, {"vertex_connectivity_flow", "edge_connectivity_flow"}),  # th3, flow
+        (6, {"edge_connectivity_flow"}),                              # th6, oracle
+    ])
+    def test_keep(self, calls, index, wrapped):
+        assert TestVerifier.call(*TestVerifier.CALLS[index])
+        assert sorted(name for name, _ in calls) == sorted(wrapped)
+        assert set(calls.values()) == {1}
 
 
 def _no_placements(*args, **kwargs):
