@@ -1,18 +1,18 @@
 """Closed-form connectivity invariants and classifiers for cographs.
 
-Everything here is derived from the cotree alone, and :func:`analyze` is the
-one place each rule is written: kappa is the order minus the order of a
+Everything here is derived from the cotree alone, in O(n), and :func:`analyze`
+is the one place each rule is written: kappa is the order minus the order of a
 primary cocomponent, a connected cograph is always maximally edge-connected
 (so lambda equals the minimum degree, and is 0 when disconnected), maximal
 connectedness is equivalent to a primary cocomponent containing an isolated
-vertex, super edge-connectedness has a two-clause exclusion
-characterization, and ideal connectedness (2K2-freeness) is a rule on the
-union nodes.  The public classifiers read the ``analyze`` report; the
-k-connectivity ones judge it with :meth:`~cographs.embedding.Preserved.holds`,
-which holds the K1 convention (``graph.is_k_connected`` and
-``is_k_edge_connected`` repeat it for plain graphs).  The flow oracle in
-:mod:`cographs.graph` and :func:`cographs.oracle.has_induced_2k2` never
-feed these formulas; they exist to check them.
+vertex, super edge-connectedness has a two-clause exclusion characterization,
+and ideal connectedness (2K2-freeness) is a rule on the union nodes.  The
+public classifiers read the ``analyze`` report; the k-connectivity ones judge
+it with :meth:`~cographs.embedding.Preserved.holds`, which holds the K1
+convention (``graph.is_k_connected`` and ``is_k_edge_connected`` repeat it for
+plain graphs).  The flow oracle in :mod:`cographs.graph` and
+:func:`cographs.oracle.has_induced_2k2` never feed these formulas; they exist
+to check them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .cotree import (
     LEAF,
     UNION,
     Cotree,
+    CotreeNode,
     _complete_order,
-    cocomponents,
+    _top,
     cotree_from_graph,
     materialize,
 )
@@ -97,18 +98,16 @@ def is_connected_cograph(ct: Cotree) -> bool:
     return ct.is_connected()
 
 
-def _primary_isolated(cocomps: list[Cotree]) -> list[tuple[int, int]]:
+def _primary_isolated(cocomps: tuple[CotreeNode, ...]) -> list[tuple[int, int]]:
     """(label, index) of every isolated vertex of a maximum-order
-    cocomponent, over the :func:`~cographs.cotree.cocomponents` list.
+    cocomponent, given the cocomponent nodes ``_top(root, JOIN)``.
 
     A cocomponent is K1 or disconnected; the isolated vertices of a
     disconnected cograph are its components that are a single leaf.
     """
     return [(c.label, i) for i, part in enumerate(cocomps)
-            if part.n == cocomps[0].n
-            for c in (part.root.children if part.root.kind == UNION
-                      else (part.root,))
-            if c.kind == LEAF]
+            if part.order == cocomps[0].order
+            for c in _top(part, UNION) if c.kind == LEAF]
 
 
 def is_maximally_connected(ct: Cotree) -> bool:
@@ -138,19 +137,18 @@ def is_super_edge_connected(ct: Cotree) -> bool:
     return analyze(ct).super_edge_connected
 
 
-def _super_edge_connected(connected: bool, cocomps: list[Cotree],
+def _super_edge_connected(connected: bool, cocomps: tuple[CotreeNode, ...],
                           degs: dict[int, int], delta: int) -> bool:
     """The rule of :func:`is_super_edge_connected` (K1 passes every clause)."""
     if not connected:
         return sum(1 for d in degs.values() if d == 0) == 1
     if _is_c4_degrees(degs):
         return False
-    if len(cocomps) == 2 and cocomps[1].n == 1:
+    if len(cocomps) == 2 and cocomps[1].order == 1:
         H = cocomps[0]
         # delta(H) >= 1: the K1 adds one to every degree of H in G
-        return not (H.n >= 4 and min(degs[v] for v in H.labels) >= 2
-                    and any(_complete_order(c) == delta
-                            for c in H.root.children))
+        return not (H.order >= 4 and min(degs[v] for v in H.labels()) >= 2
+                    and any(_complete_order(c) == delta for c in H.children))
     return True
 
 
@@ -207,14 +205,14 @@ class AnalysisReport:
 
 
 def analyze(obj: Graph | Cotree) -> AnalysisReport:
-    """Full report for a cograph given as a Graph or a Cotree.
+    """Full report for a cograph given as a Graph, or in O(n) as a Cotree.
 
     Raises NotACographError (with a P4 witness) for non-cograph graphs.
     """
     ct = as_cotree(obj)
     degs = degrees(ct)
-    cocomps = cocomponents(ct)
-    n_prime = cocomps[0].n
+    cocomps = _top(ct.root, JOIN)
+    n_prime = cocomps[0].order
     delta = min(degs.values())
     connected = is_connected_cograph(ct)
     lam = delta if connected else 0

@@ -5,7 +5,8 @@ single vertices, internal nodes are unions or joins with at least two
 children, and no union has a union child (likewise for joins).  Children are
 kept sorted by descending subtree order with ties broken by smallest
 contained label, which pins down "the" primary cocomponent everywhere else
-in the library.
+in the library.  A :class:`Cotree` is the validated handle that parsing,
+recognition and the views return; the library itself reads nodes.
 
 Expression DSL (whitespace insignificant)::
 
@@ -334,19 +335,23 @@ def cotree_from_graph(G: Graph) -> RecognitionResult:
 
 # -- decomposition views ------------------------------------------------------------
 
+def _top(node: CotreeNode, kind: str) -> tuple[CotreeNode, ...]:
+    """The children of a ``kind`` node, else ``(node,)``: the cocomponents
+    (``JOIN``) or components (``UNION``) of ``node``, largest first."""
+    return node.children if node.kind == kind else (node,)
+
+
 def cocomponents(ct: Cotree) -> list[Cotree]:
-    """Top-level join parts, largest first; the whole tree when t = 1.
+    """Top-level join parts, largest first; ``[ct]`` itself when t = 1.
 
     The first entry is the primary cocomponent, so ``n' = result[0].n`` and
     ``t = len(result)``.
     """
-    if ct.root.kind == JOIN:
-        return [Cotree(c) for c in ct.root.children]
-    return [ct]
+    parts = _top(ct.root, JOIN)
+    return [ct] if len(parts) == 1 else [Cotree(c) for c in parts]
 
 
 def components(ct: Cotree) -> list[Cotree]:
-    """Connected components of the cograph, largest first."""
-    if ct.root.kind == UNION:
-        return [Cotree(c) for c in ct.root.children]
-    return [ct]
+    """Connected components, largest first; ``[ct]`` itself when connected."""
+    parts = _top(ct.root, UNION)
+    return [ct] if len(parts) == 1 else [Cotree(c) for c in parts]

@@ -5,18 +5,19 @@ All eight ``keep_*`` operations, one per existence theorem, take one path.
 admits it: six theorems judge the :class:`~cographs.embedding.Preserved` tag
 they keep on that report, and the two pair theorems (:func:`_disjoint_pair`)
 ask only for a connected input.  The theorem's exact minimum-degree bound is
-checked next (no best-effort runs below it), then the proof's case analysis
-builds the copy, smallest label first, placing trees with :func:`_place`,
-the first placement of :func:`cographs.embedding._placements`.  Last,
-:func:`_result` checks the result twice: as a copy of the tree (injective,
-tree edges on graph edges, a pair disjoint), and on its residual, built and
-recognized once, by two routes that each decide through
-:meth:`~cographs.embedding.Preserved.holds`: the closed-form report of a
-vertex-deleted residual, and :class:`cographs.oracle._flow_values` of an
-edge-deleted one.  The result carries the residual's report, which
-``cograph embed`` prints.  A failed check, or a failed placement that the
-theorem guarantees, raises :class:`~cographs.errors.PostconditionFailedError`:
-a bug, never bad input.
+checked next (no best-effort runs below it), then the proof's case analysis,
+reading the cotree's parts as nodes (``cotree._top``, never a re-validated
+``Cotree``), builds the copy, smallest label first, placing trees with
+:func:`_place`, the first placement of
+:func:`cographs.embedding._placements`.  Last, :func:`_result` checks the
+result twice: as a copy of the tree (injective, tree edges on graph edges, a
+pair disjoint), and on its residual, built and recognized once, by two
+routes that each decide through :meth:`~cographs.embedding.Preserved.holds`:
+the closed-form report of a vertex-deleted residual, and
+:class:`cographs.oracle._flow_values` of an edge-deleted one.  The result
+carries the residual's report, which ``cograph embed`` prints.  A failed
+check, or a failed placement that the theorem guarantees, raises
+:class:`~cographs.errors.PostconditionFailedError`: a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from .analysis import (
     as_graph_and_cotree,
 )
 from .cotree import (
+    JOIN,
+    UNION,
     Cotree,
+    CotreeNode,
     _complete_order,
-    cocomponents,
-    components,
+    _top,
     cotree_from_graph,
     join,
     leaf,
@@ -189,12 +192,11 @@ def _bfs_prefix(T: TreeShape, size: int) -> list[int]:
     return seen
 
 
-def _split_primary(ct: Cotree) -> tuple[set[int], list[int], list[Cotree]]:
-    """(labels of G1, sorted labels of S, all cocomponents, G1 first)."""
-    parts = cocomponents(ct)
-    g1 = set(parts[0].labels)
-    s = sorted(set(ct.labels) - g1)
-    return g1, s, parts
+def _split_primary(ct: Cotree) -> tuple[set[int], list[int], tuple[CotreeNode, ...]]:
+    """(labels of G1, sorted labels of S, all cocomponent nodes, G1 first)."""
+    parts = _top(ct.root, JOIN)
+    g1 = set(parts[0].labels())
+    return g1, [v for v in ct.labels if v not in g1], parts
 
 
 def _inputs(G: Graph | Cotree, k: int = 1, trees: tuple[TreeShape, ...] = (),
@@ -381,7 +383,7 @@ def _disjoint_pair(G: Graph | Cotree, T1: TreeShape, T2: TreeShape,
     else:
         g1, _, parts = _split_primary(ct)
         _require(len(g1) >= 2, "bound forces a disconnected primary cocomponent")
-        hosts = [c.labels for c in components(parts[0])[:2]]
+        hosts = [c.labels() for c in _top(parts[0], UNION)[:2]]
     maps = [_place(G, T, host) for T, host in zip((T1, T2), hosts)]
     _require(all(len(host) - m >= spare for host in hosts),
              "components do not retain ceil(kappa/2) vertices")
@@ -389,17 +391,6 @@ def _disjoint_pair(G: Graph | Cotree, T1: TreeShape, T2: TreeShape,
 
 
 # -- maximal connectedness keeping tree ---------------------------------------------
-
-def _primary_with_isolated(ct: Cotree) -> tuple[int, list[Cotree]]:
-    """Smallest-label isolated vertex over all maximum-order cocomponents,
-    plus the cocomponent list reordered so its host comes first."""
-    parts = cocomponents(ct)
-    isolated = _primary_isolated(parts)
-    _require(bool(isolated), "no primary cocomponent has an isolated vertex")
-    x, idx = min(isolated)
-    ordered = [parts[idx]] + parts[:idx] + parts[idx + 1:]
-    return x, ordered
-
 
 def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     """Subtree copy whose deletion leaves the cograph maximally connected.
@@ -415,9 +406,12 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
         raise IsKmError(f"input is the complete graph K_{m}")
     delta = _delta_at_least(report, m - 1, error=DegreeTooLowError)
 
-    x, parts = _primary_with_isolated(ct)
-    g1 = set(parts[0].labels)
-    s = sorted(set(ct.labels) - g1)
+    parts = _top(ct.root, JOIN)
+    isolated = _primary_isolated(parts)
+    _require(bool(isolated), "no primary cocomponent has an isolated vertex")
+    x, idx = min(isolated)
+    g1 = set(parts[idx].labels())
+    s = [v for v in ct.labels if v not in g1]
     kappa = report.kappa
     _require(len(s) == kappa == delta, "maximally connected bookkeeping failed")
     k = delta - (m - 1)
@@ -443,15 +437,16 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
         elif p <= 0:
             mapping = _place(G, T, s)
         else:
-            mapping = _keep_maximal_balanced(G, T, x, g1, s, parts, k, p, q)
+            others = parts[:idx] + parts[idx + 1:]
+            mapping = _keep_maximal_balanced(G, T, x, g1, s, others, k, p, q)
 
     _require(x not in mapping.values(), "the shielded isolated vertex was deleted")
     return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
 def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
-                           s: list[int], parts: list[Cotree], k: int,
-                           p: int, q: int) -> dict[int, int]:
+                           s: list[int], others: tuple[CotreeNode, ...],
+                           k: int, p: int, q: int) -> dict[int, int]:
     """The balanced-bipartition case (1 <= p <= m-2, q < m-p-1)."""
     m = T.order
     v1, v2 = T.bipartition
@@ -460,14 +455,14 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
              "order bookkeeping failed")
     _require(len(v1) == q + r + (p + 1) // 2 and len(v2) == r + (p + 1) // 2,
              "bipartition bookkeeping failed")
-    others = parts[1:]
     _require(len(others) >= 2, "need at least three cocomponents here")
     second = others[0]
 
-    if second.n >= len(v2):
+    if second.order >= len(v2):
         # the second cocomponent alone hosts the smaller class
-        s2 = sorted(second.labels)[:len(v2)]
-        outside = [v for v in s if v not in set(second.labels)]
+        labels2 = set(second.labels())
+        s2 = sorted(labels2)[:len(v2)]
+        outside = [v for v in s if v not in labels2]
         _require(len(outside) >= q + r, "not enough room outside the second part")
         s11 = outside[:q + r]
         _require(len(g1) - 1 >= (p + 1) // 2, "primary cocomponent too small")
@@ -476,19 +471,19 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
 
     # group even-indexed cocomponents until they cover the smaller class
     evens = others[0::2]
-    prefix_parts: list[Cotree] = []
+    prefix_parts: list[CotreeNode] = []
     covered = 0
     chosen = None
     for part in evens:
-        if covered + part.n >= len(v2):
+        if covered + part.order >= len(v2):
             chosen = part
             break
         prefix_parts.append(part)
-        covered += part.n
+        covered += part.order
     _require(chosen is not None,
              "no prefix of alternate cocomponents covers the smaller class")
-    prefix_labels = sorted(v for part in prefix_parts for v in part.labels)
-    s2_set = set(prefix_labels) | set(chosen.labels)
+    prefix_labels = sorted(v for part in prefix_parts for v in part.labels())
+    s2_set = set(prefix_labels) | set(chosen.labels())
     s1 = [v for v in s if v not in s2_set]
 
     if len(s1) >= len(v1):
@@ -497,14 +492,14 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
     ell1 = len(v1) - len(s1)
     ell2 = len(v2) - covered
     _require(ell1 > 0 and ell2 > 0, "overlap sizes must be positive")
-    _require(ell1 + ell2 == chosen.n - k + 1, "overlap identity failed")
-    _require(max(ell1, ell2) <= chosen.n, "overlap exceeds the chosen part")
+    _require(ell1 + ell2 == chosen.order - k + 1, "overlap identity failed")
+    _require(max(ell1, ell2) <= chosen.order, "overlap exceeds the chosen part")
     if ell2 >= ell1:
-        l2 = sorted(chosen.labels)[:ell2]
+        l2 = sorted(chosen.labels())[:ell2]
         _require(len(g1) - 1 >= ell1, "primary cocomponent too small")
         u1 = sorted(g1 - {x})[:ell1]
         return _across_mapping(T, s1 + u1, prefix_labels + l2, G)
-    l1 = sorted(chosen.labels)[:ell1]
+    l1 = sorted(chosen.labels())[:ell1]
     _require(len(g1) - 1 >= ell2, "primary cocomponent too small")
     u2 = sorted(g1 - {x})[:ell2]
     return _across_mapping(T, s1 + l1, prefix_labels + u2, G)
@@ -579,37 +574,36 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
             mapping = dict(mapping)
             mapping[T.root()] = min(g1 - image)
     else:
-        mapping = _super_single_join_vertex(G, ct, T, parts)
+        mapping = _super_single_join_vertex(G, T, parts[0])
 
     return _result(G, DeleteMode.VERTEX, tag, (T, mapping),
                    oracle_max_n=_SUPER_BRUTE_CAP)
 
 
-def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
-                              parts: list[Cotree]) -> dict[int, int]:
+def _super_single_join_vertex(G: Graph, T: TreeShape,
+                              H: CotreeNode) -> dict[int, int]:
     """The G = H + K1 case: embed inside a non-complete component of H so
     that its residual stays connected but not complete."""
     m = T.order
-    comps = components(parts[0])
-    non_complete = [c for c in comps if _complete_order(c.root) is None]
+    non_complete = [c for c in _top(H, UNION) if _complete_order(c) is None]
     _require(bool(non_complete),
              "a super cograph H + K1 must have a non-complete component")
     target = non_complete[0]
-    tlabels = set(target.labels)
-    prim = cocomponents(target)[0]
-    prim_labels = set(prim.labels)
+    tlabels = set(target.labels())
+    prim = _top(target, JOIN)[0]
+    prim_labels = set(prim.labels())
     sp = sorted(tlabels - prim_labels)
-    prim_comps = components(prim)
+    prim_comps = _top(prim, UNION)
     _require(len(prim_comps) >= 2, "primary part of the component is connected")
-    x1 = prim_comps[0].root.min_label
-    y1 = prim_comps[1].root.min_label
+    x1 = prim_comps[0].min_label
+    y1 = prim_comps[1].min_label
 
     if m == 1:
         t_root = T.tree.vertices[0]
         if len(sp) >= 2:
             return {t_root: sp[0]}
-        big = next(c for c in prim_comps if c.n >= 2)
-        return {t_root: min(big.labels)}
+        big = next(c for c in prim_comps if c.order >= 2)
+        return {t_root: big.min_label}
 
     leaf_t = T.root()
     (support_t,) = T.tree.neighbors(leaf_t)
@@ -635,9 +629,9 @@ def _super_single_join_vertex(G: Graph, ct: Cotree, T: TreeShape,
                                sp[:len(v2)], G)
     else:
         # single hub inside the component: embed within one part of prim
-        comp0 = prim_comps[0]
-        mapping = _place(G, T, comp0.labels)
-        _require(len(set(comp0.labels) - set(mapping.values())) >= 1,
+        host = set(prim_comps[0].labels())
+        mapping = _place(G, T, host)
+        _require(len(host - set(mapping.values())) >= 1,
                  "no spare vertex left in the host component")
         return mapping
 
@@ -685,12 +679,12 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
         # the smaller class swallowed everything outside one cocomponent
         host = None
         for part in parts:
-            if set(ct.labels) - set(part.labels) <= v2_img:
+            if set(ct.labels) - set(part.labels()) <= v2_img:
                 host = part
                 break
-        _require(host is not None and host.n >= 2,
+        _require(host is not None and host.order >= 2,
                  "disconnection without a swallowing cocomponent")
-        g1 = set(host.labels)
+        g1 = set(host.labels())
         s = sorted(set(ct.labels) - g1)
 
         s_edges = sorted((u, v) for u, v in G.edges if u in s and v in s)
@@ -721,11 +715,11 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
 
         # single join vertex: start over on one component plus the hub
         w = s[0]
-        comp = components(host)[0]
-        sub = induced_subgraph(G, set(comp.labels) | {w})
+        comp = _top(host, UNION)[0]
+        sub = induced_subgraph(G, set(comp.labels()) | {w})
         _require(sub.min_degree() >= G.min_degree(),
                  "recursion lost the degree bound")
-        G, ct = sub, Cotree(join([comp.root, leaf(w)]))
+        G, ct = sub, Cotree(join([comp, leaf(w)]))
 
 
 def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
+
 from cographs import (
     Graph,
     TreeShape,
@@ -349,6 +351,20 @@ def first_mapping_twice(real):
         return dict(first[0])
 
     return fake
+
+
+@pytest.fixture
+def cotree_inits(monkeypatch) -> list[Cotree]:
+    """Every ``Cotree`` validated while the test runs, in order."""
+    built: list[Cotree] = []
+    init = Cotree.__init__
+
+    def counting_init(self, root):
+        init(self, root)
+        built.append(self)
+
+    monkeypatch.setattr(Cotree, "__init__", counting_init)
+    return built
 
 
 def format_by_copies(ct: Cotree) -> str:

@@ -211,3 +211,19 @@ class TestReportDict:
             "super_by_convention"]
         assert list(rep.to_dict().values()) \
             == [getattr(rep, f.name) for f in fields(rep)]
+
+
+class TestReadsCotreeNodes:
+    """``analyze`` reads the cocomponents and components of a cotree as the
+    nodes they are; it validates no ``Cotree`` of its own."""
+
+    @pytest.mark.parametrize("expr", [
+        "(K1|K2|K1)+(K1|K1)+K1",  # t = 3, isolated vertices in G1
+        "(K2|K2)+K1",             # the H + K1 clause of the super rule
+        "(K2|K2)+(K1|K3)+K2",     # tied primary cocomponents
+        "K6",                     # t = n
+    ])
+    def test_analyze_on_a_cotree_builds_none(self, expr, cotree_inits):
+        ct = parse_expression(expr)
+        assert analyze(ct).t >= 2
+        assert cotree_inits == [ct]

@@ -228,6 +228,22 @@ class TestDecompositionViews:
         assert parse_expression("K2+K1").is_connected()
         assert not parse_expression("K2|K2").is_connected()
 
+    def test_a_single_part_view_is_the_argument_itself(self):
+        connected = parse_expression("K2+K1")
+        (part,) = components(connected)
+        assert part is connected
+        disconnected = parse_expression("K2|K2")
+        (part,) = cocomponents(disconnected)
+        assert part is disconnected
+
+    def test_duplicate_leaf_labels_are_refused(self):
+        with pytest.raises(ValueError, match="^duplicate leaf labels in cotree$"):
+            Cotree(union([leaf(0), leaf(0)]))
+
+    def test_one_child_node_is_refused(self):
+        with pytest.raises(ArityError, match="^union node needs at least two"):
+            union([leaf(0)])
+
 
 class TestFormatterAgainstCopies:
     """The one-pass formatter writes the text of the formatter that copies

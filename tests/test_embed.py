@@ -128,6 +128,15 @@ class TestExtendEmbedding:
         with pytest.raises(ValueError):
             extend_embedding(G, {0: 0, 2: 1}, named_tree("path:3"))
 
+    @pytest.mark.parametrize("partial,forbidden,text", [
+        ({0: 1, 1: 1}, (), "partial embedding is not injective"),
+        ({0: 0}, {0}, "partial embedding leaves the allowed set"),
+    ])
+    def test_refused_partial_names_its_fault(self, partial, forbidden, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            extend_embedding(Graph.complete(4), partial, named_tree("path:3"),
+                             forbidden=forbidden)
+
     def test_accepts_embedding_typed_partial(self):
         G = Graph.complete(5)
         T = named_tree("path:4")
@@ -721,6 +730,34 @@ class TestSharedPath:
         from_graph = keep(G_of(expr), *trees)
         assert from_cotree == from_graph
         assert from_cotree.residual_report == from_graph.residual_report
+
+    @pytest.mark.parametrize("keep,expr,args", TestVerifier.CALLS)
+    def test_cotree_input_builds_only_recognized_cotrees(
+            self, keep, expr, args, cotree_inits, monkeypatch):
+        # the constructions read cocomponents and components as nodes
+        recognized = []
+
+        def recognize(G):
+            result = cotree_from_graph(G)
+            recognized.append(result.cotree)
+            return result
+
+        monkeypatch.setattr(embed_module, "cotree_from_graph", recognize)
+        trees = [named_tree(a) if isinstance(a, str) else a for a in args]
+        ct = parse_expression(expr)
+        keep(ct, *trees)
+        assert cotree_inits == [ct] + [c for c in recognized if c is not None]
+
+    def test_k_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            keep_vertex_connectivity(G_of("K4"), named_tree("path:2"), 0)
+
+    def test_pair_trees_of_different_orders_are_refused(self):
+        with pytest.raises(ValueError,
+                           match="^both trees must have the same order$"):
+            keep_vertex_connectivity_two(G_of("(K3|K3)+(K1|K1)"),
+                                         named_tree("path:2"),
+                                         named_tree("path:3"))
 
     def test_cotree_input_result(self):
         result = keep_vertex_connectivity(parse_expression("(K1|K1|K1)+K3"),
