@@ -8,9 +8,9 @@ connectedness is equivalent to a primary cocomponent containing an isolated
 vertex, super edge-connectedness has a two-clause exclusion characterization,
 and ideal connectedness (2K2-freeness) is a rule on the union nodes.  The
 public classifiers read the ``analyze`` report; the k-connectivity ones judge
-it with :meth:`~cographs.embedding.Preserved.holds`, which holds the K1
-convention (``graph.is_k_connected`` and ``is_k_edge_connected`` repeat it for
-plain graphs).  The flow oracle in :mod:`cographs.graph` and
+it with :meth:`~cographs.embedding.Preserved.holds`, which reads the K1
+convention from ``graph._at_least``, as the flow checks of plain graphs
+do.  The flow oracle in :mod:`cographs.graph` and
 :func:`cographs.oracle.has_induced_2k2` never feed these formulas; they exist
 to check them.
 """

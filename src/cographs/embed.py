@@ -1,14 +1,16 @@
 """Constructive extraction of connectivity-keeping trees in cographs.
 
 All eight ``keep_*`` operations, one per existence theorem, take one path.
-:func:`_inputs` reads the input once (graph, cotree, ``analyze`` report) and
-admits it: six theorems judge the :class:`~cographs.embedding.Preserved` tag
-they keep on that report, and the two pair theorems (:func:`_disjoint_pair`)
-ask only for a connected input.  The theorem's exact minimum-degree bound is
-checked next (no best-effort runs below it), then the proof's case analysis,
-reading the cotree's parts as nodes (``cotree._top``, never a re-validated
-``Cotree``), builds the copy, smallest label first, placing trees with
-:func:`_place`, the first placement of
+:func:`_inputs` reads the input once and admits it: six theorems judge the
+:class:`~cographs.embedding.Preserved` tag they keep on its ``analyze``
+report, and the two pair theorems (:func:`_disjoint_pair`) ask only for a
+connected input.  Admission hands each construction the graph, its
+cocomponent nodes (``cotree._top``, primary first) and that report.  The
+theorem's exact minimum-degree bound is checked next (no best-effort runs
+below it), then the proof's case analysis builds the copy from those nodes
+and ``G.vertices`` alone: :func:`_split` is its one cut (a cocomponent and
+the join side S), :func:`_first_edge` its one edge search.  It places
+trees smallest label first with :func:`_place`, the first placement of
 :func:`cographs.embedding._placements`.  Last, :func:`_result` checks the
 result twice: as a copy of the tree (injective, tree edges on graph edges, a
 pair disjoint), and on its residual, built and recognized once, by two
@@ -192,18 +194,29 @@ def _bfs_prefix(T: TreeShape, size: int) -> list[int]:
     return seen
 
 
-def _split_primary(ct: Cotree) -> tuple[set[int], list[int], tuple[CotreeNode, ...]]:
-    """(labels of G1, sorted labels of S, all cocomponent nodes, G1 first)."""
-    parts = _top(ct.root, JOIN)
-    g1 = set(parts[0].labels())
-    return g1, [v for v in ct.labels if v not in g1], parts
+def _split(G: Graph, part: CotreeNode) -> tuple[set[int], list[int]]:
+    """The cut every construction starts from: (labels of ``part``, the
+    other vertices of G in ascending order)."""
+    inside = set(part.labels())
+    return inside, [v for v in G.vertices if v not in inside]
+
+
+def _first_edge(G: Graph, S) -> tuple[int, int] | None:
+    """The smallest edge ``(u, v)``, ``u < v``, with both ends in ``S``."""
+    S = set(S)
+    for u in sorted(S):
+        later = [v for v in G.neighbors(u) & S if v > u]
+        if later:
+            return u, min(later)
+    return None
 
 
 def _inputs(G: Graph | Cotree, k: int = 1, trees: tuple[TreeShape, ...] = (),
-            tag=None) -> tuple[Graph, Cotree, AnalysisReport]:
+            tag=None) -> tuple[Graph, tuple[CotreeNode, ...], AnalysisReport]:
     """Argument checks shared by the ``keep_*`` operations, then the graph,
-    its cotree and its :func:`~cographs.analysis.analyze` report, which
-    must have the property ``tag`` when one is given."""
+    its cocomponent nodes (primary first) and its
+    :func:`~cographs.analysis.analyze` report, which must have the property
+    ``tag`` when one is given."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if len({T.order for T in trees}) > 1:
@@ -218,7 +231,7 @@ def _inputs(G: Graph | Cotree, k: int = 1, trees: tuple[TreeShape, ...] = (),
             "super_edge_connected": (NotSuperError, "super edge-connected"),
         }[tag.kind]
         raise error(f"input is not {text}")
-    return G, ct, report
+    return G, _top(ct.root, JOIN), report
 
 
 def _delta_at_least(report: AnalysisReport, bound: int, case: str | None = None,
@@ -303,14 +316,14 @@ def keep_vertex_connectivity_bound(k: int, m: int, n_prime: int) -> tuple[str, i
     return "large_primary", k + m - 1
 
 
-def _keep_vertex_connectivity_mapping(G: Graph, ct: Cotree, T: TreeShape,
-                                      k: int) -> dict[int, int]:
+def _keep_vertex_connectivity_mapping(G: Graph, parts: tuple[CotreeNode, ...],
+                                      T: TreeShape, k: int) -> dict[int, int]:
     """Case construction shared by the vertex-deletion keeping theorems.
 
     Preconditions (k-connectivity and the case bound) are the caller's job.
     """
     m = T.order
-    g1, s, _ = _split_primary(ct)
+    g1, s = _split(G, parts[0])
     n_prime = len(g1)
     case, _ = keep_vertex_connectivity_bound(k, m, n_prime)
 
@@ -344,10 +357,10 @@ def keep_vertex_connectivity(G: Graph | Cotree, T: TreeShape, k: int) -> Embeddi
     :func:`keep_vertex_connectivity_bound` for its primary cocomponent order.
     """
     tag = k_connected(k)
-    G, ct, report = _inputs(G, k, tag=tag)
+    G, parts, report = _inputs(G, k, tag=tag)
     case, bound = keep_vertex_connectivity_bound(k, T.order, report.n_prime)
     _delta_at_least(report, bound, case=case)
-    mapping = _keep_vertex_connectivity_mapping(G, ct, T, k)
+    mapping = _keep_vertex_connectivity_mapping(G, parts, T, k)
     return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
@@ -366,7 +379,7 @@ def _disjoint_pair(G: Graph | Cotree, T1: TreeShape, T2: TreeShape,
     primary cocomponent, which keep ceil(kappa / 2) spare vertices each under
     vertex deletion; single-vertex trees for edge deletion take the two
     smallest labels."""
-    G, ct, report = _inputs(G, trees=(T1, T2))
+    G, parts, report = _inputs(G, trees=(T1, T2))
     m, kappa = T1.order, report.kappa
     vertex = mode is DeleteMode.VERTEX
     if not report.connected:
@@ -374,15 +387,15 @@ def _disjoint_pair(G: Graph | Cotree, T1: TreeShape, T2: TreeShape,
     spare = (kappa + 1) // 2 if vertex else 0
     _delta_at_least(report, kappa + spare + m - 1,
                     formula="ceil(3 kappa / 2) + m - 1 = " if vertex else "")
-    if ct.n == 1:  # K1 meets both bounds with m = 1
+    if G.n == 1:  # K1 meets both bounds with m = 1
         raise BoundViolatedError(
             "complete graph cannot host two disjoint keeping trees" if vertex
             else "two disjoint trees need at least two vertices")
     if m == 1 and not vertex:
-        hosts = [ct.labels[:1], ct.labels[1:2]]
+        hosts = [G.vertices[:1], G.vertices[1:2]]
     else:
-        g1, _, parts = _split_primary(ct)
-        _require(len(g1) >= 2, "bound forces a disconnected primary cocomponent")
+        _require(parts[0].order >= 2,
+                 "bound forces a disconnected primary cocomponent")
         hosts = [c.labels() for c in _top(parts[0], UNION)[:2]]
     maps = [_place(G, T, host) for T, host in zip((T1, T2), hosts)]
     _require(all(len(host) - m >= spare for host in hosts),
@@ -400,29 +413,22 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     primary cocomponent and re-establishes a primary cocomponent around it.
     """
     tag = maximally_connected()
-    G, ct, report = _inputs(G, tag=tag)
+    G, parts, report = _inputs(G, tag=tag)
     m = T.order
-    if ct.n == m and report.n_prime == 1:
+    if G.n == m and report.n_prime == 1:
         raise IsKmError(f"input is the complete graph K_{m}")
     delta = _delta_at_least(report, m - 1, error=DegreeTooLowError)
 
-    parts = _top(ct.root, JOIN)
     isolated = _primary_isolated(parts)
     _require(bool(isolated), "no primary cocomponent has an isolated vertex")
     x, idx = min(isolated)
-    g1 = set(parts[idx].labels())
-    s = [v for v in ct.labels if v not in g1]
+    g1, s = _split(G, parts[idx])
     kappa = report.kappa
     _require(len(s) == kappa == delta, "maximally connected bookkeeping failed")
     k = delta - (m - 1)
 
-    if m == 1:
-        t_root = T.tree.vertices[0]
-        if kappa == 0:
-            target = min(v for v in ct.labels if v != x)
-        else:
-            target = s[0]
-        mapping = {t_root: target}
+    if kappa == 0:  # delta = 0 forces m = 1
+        mapping = {T.tree.vertices[0]: min(v for v in G.vertices if v != x)}
     else:
         v1, v2 = T.bipartition
         p = len(g1) - k
@@ -514,9 +520,9 @@ def keep_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     Requires a k-connected cograph with delta >= k + m - 1.
     """
     tag = k_connected(k)
-    G, ct, report = _inputs(G, k, tag=tag)
+    G, parts, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, k + T.order - 1)
-    _, s, _ = _split_primary(ct)
+    _, s = _split(G, parts[0])
     mapping = _place(G, T, set(G.vertices) - set(s[:k]))
     return _result(G, DeleteMode.EDGE, tag, (T, mapping))
 
@@ -542,9 +548,9 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
     edge-connected.
     """
     tag = k_edge_connected(k)
-    G, ct, report = _inputs(G, k, tag=tag)
+    G, parts, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, k + T.order - (1 if k == 1 else 0))
-    mapping = _keep_vertex_connectivity_mapping(G, ct, T, 1)
+    mapping = _keep_vertex_connectivity_mapping(G, parts, T, 1)
     return _result(G, DeleteMode.VERTEX, tag, (T, mapping), oracle_max_n=G.n)
 
 
@@ -559,19 +565,18 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     Requires a super edge-connected cograph with delta >= m + 2.
     """
     tag = super_edge_connected()
-    G, ct, report = _inputs(G, tag=tag)
+    G, parts, report = _inputs(G, tag=tag)
     _delta_at_least(report, T.order + 2)
-    g1, s, parts = _split_primary(ct)
+    g1, s = _split(G, parts[0])
 
     if len(s) >= 2:
-        mapping = _keep_vertex_connectivity_mapping(G, ct, T, 2)
+        mapping = _keep_vertex_connectivity_mapping(G, parts, T, 2)
         image = set(mapping.values())
         if _is_c4_degrees({v: len(G.neighbors(v) - image)
                            for v in G.vertices if v not in image}):
             # swap one leaf into the primary cocomponent to kill the C4
             _require(not (image & g1),
                      "a C4 residual forces the tree outside the primary part")
-            mapping = dict(mapping)
             mapping[T.root()] = min(g1 - image)
     else:
         mapping = _super_single_join_vertex(G, T, parts[0])
@@ -607,17 +612,15 @@ def _super_single_join_vertex(G: Graph, T: TreeShape,
 
     leaf_t = T.root()
     (support_t,) = T.tree.neighbors(leaf_t)
-    edges = sorted(G.edges)
-    sp_edges = [(u, v) for u, v in edges if u in sp and v in sp]
-    prim_edges = [(u, v) for u, v in edges
-                  if u in prim_labels and v in prim_labels]
+    sp_edge = _first_edge(G, sp)
+    prim_edge = _first_edge(G, prim_labels)
 
-    if sp_edges:
-        w_img, z_img = sp_edges[0]
+    if sp_edge:
+        w_img, z_img = sp_edge
         protected = {x1, y1}
         swap_pool = prim_labels
-    elif len(sp) >= 2 and prim_edges:
-        w_img, z_img = prim_edges[0]
+    elif len(sp) >= 2 and prim_edge:
+        w_img, z_img = prim_edge
         protected = {sp[0], sp[1]}
         swap_pool = set(sp)
     elif len(sp) >= 2:
@@ -639,11 +642,10 @@ def _super_single_join_vertex(G: Graph, T: TreeShape,
     allowed = tlabels - protected
     mapping = _place(G, T, allowed, partial)
     image = set(mapping.values())
-    edge_side = set(sp) if sp_edges else prim_labels
+    edge_side = set(sp) if sp_edge else prim_labels
     if not (edge_side - image):
         spare = sorted(swap_pool - image - protected)
         _require(bool(spare), "no spare vertex for the leaf swap")
-        mapping = dict(mapping)
         mapping[leaf_t] = spare[0]
     return mapping
 
@@ -657,43 +659,34 @@ def _smallest_cross_tree_edge(T: TreeShape) -> tuple[int, int]:
     return (u, v) if u in v1 else (v, u)
 
 
-def _class_image(T: TreeShape, mapping: dict[int, int], side: int) -> set[int]:
-    return {mapping[t] for t in T.bipartition[side]}
+def _class_image(T: TreeShape, mapping: dict[int, int]) -> set[int]:
+    """Image of the smaller bipartition class."""
+    return {mapping[t] for t in T.bipartition[1]}
 
 
-def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int]:
+def _keep_edge_conn_mapping(G: Graph, parts: tuple[CotreeNode, ...],
+                            T: TreeShape) -> dict[int, int]:
     """Construction for the edge-deletion keeping theorem; the single-join
     case starts over on a smaller graph with the same tree."""
-    m = T.order
-    if m == 1:
-        return {T.tree.vertices[0]: min(G.vertices)}
     while True:
-        g1, s, parts = _split_primary(ct)
         mapping = _place(G, T, G.vertices)
-        if len(g1) == 1:
-            return mapping
-        v2_img = _class_image(T, mapping, 1)
+        v2_img = _class_image(T, mapping)
         if delete_vertices(G, v2_img).is_connected():
             return mapping
 
         # the smaller class swallowed everything outside one cocomponent
-        host = None
-        for part in parts:
-            if set(ct.labels) - set(part.labels()) <= v2_img:
-                host = part
-                break
+        host = next((part for part in parts
+                     if set(_split(G, part)[1]) <= v2_img), None)
         _require(host is not None and host.order >= 2,
                  "disconnection without a swallowing cocomponent")
-        g1 = set(host.labels())
-        s = sorted(set(ct.labels) - g1)
+        g1, s = _split(G, host)
 
-        s_edges = sorted((u, v) for u, v in G.edges if u in s and v in s)
-        if s_edges:
+        edge = _first_edge(G, s)
+        if edge:
             a_t, b_t = _smallest_cross_tree_edge(T)
-            u, v = s_edges[0]
-            partial = {a_t: u, b_t: v}
-            mapping = _place(G, T, G.vertices, partial)
-            _require(delete_vertices(G, _class_image(T, mapping, 1)).is_connected(),
+            u, v = edge
+            mapping = _place(G, T, G.vertices, {a_t: u, b_t: v})
+            _require(delete_vertices(G, _class_image(T, mapping)).is_connected(),
                      "re-rooted embedding still disconnects the graph")
             return mapping
 
@@ -702,12 +695,11 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
             (support_t,) = T.tree.neighbors(leaf_t)
             w, z = s[0], s[1]
             rest = _subtree_shape(T, [t for t in T.tree.vertices if t != leaf_t])
-            partial = _place(G, rest, set(G.vertices) - {w}, {support_t: z})
-            spare = sorted(g1 - set(partial.values()))
+            mapping = _place(G, rest, set(G.vertices) - {w}, {support_t: z})
+            spare = sorted(g1 - set(mapping.values()))
             _require(bool(spare), "no room to finish the tree inside the primary part")
-            mapping = dict(partial)
             mapping[leaf_t] = spare[0]
-            v2_img = _class_image(T, mapping, 1)
+            v2_img = _class_image(T, mapping)
             _require(not (g1 <= v2_img), "the smaller class swallowed the primary part")
             _require(delete_vertices(G, v2_img).is_connected(),
                      "spare-vertex embedding still disconnects the graph")
@@ -719,7 +711,7 @@ def _keep_edge_conn_mapping(G: Graph, ct: Cotree, T: TreeShape) -> dict[int, int
         sub = induced_subgraph(G, set(comp.labels()) | {w})
         _require(sub.min_degree() >= G.min_degree(),
                  "recursion lost the degree bound")
-        G, ct = sub, Cotree(join([comp, leaf(w)]))
+        G, parts = sub, join([comp, leaf(w)]).children
 
 
 def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
@@ -731,7 +723,7 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     than k + m - 1.
     """
     tag = k_edge_connected(k)
-    G, ct, report = _inputs(G, k, tag=tag)
+    G, parts, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, max(k + T.max_degree + T.beta - 1, T.order - 1))
-    mapping = _keep_edge_conn_mapping(G, ct, T)
+    mapping = _keep_edge_conn_mapping(G, parts, T)
     return _result(G, DeleteMode.EDGE, tag, (T, mapping))

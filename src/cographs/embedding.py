@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
-from .graph import Graph, TreeShape, delete_edges, delete_vertices
+from .graph import Graph, TreeShape, _at_least, delete_edges, delete_vertices
 
 __all__ = [
     "DeleteMode",
@@ -56,8 +56,8 @@ class Preserved:
     def holds(self, value: Callable[[str], int | bool]) -> bool:
         """Whether a graph has this property, asking ``value(key)`` only
         for the invariants the tag needs (``n``, ``kappa``, ``lambda``,
-        ``maximally_connected``, ``super_edge_connected``).  K1 counts as
-        1-connected and 1-edge-connected, though its kappa and lambda are 0.
+        ``maximally_connected``, ``super_edge_connected``), with the K1
+        convention of :func:`cographs.graph._at_least`.
         """
         if self.kind in ("maximally_connected", "super_edge_connected"):
             return value(self.kind)
@@ -66,11 +66,7 @@ class Preserved:
         key = {"k_connected": "kappa", "k_edge_connected": "lambda"}.get(self.kind)
         if key is None:
             raise ValueError(f"unknown property kind {self.kind!r}")
-        if self.k <= 0:
-            return True
-        if value("n") == 1:
-            return self.k <= 1
-        return value(key) >= self.k
+        return _at_least(self.k, value("n"), lambda: value(key))
 
 
 def k_connected(k: int) -> Preserved:

@@ -345,22 +345,21 @@ def edge_connectivity_flow(G: Graph) -> int:
     return best
 
 
+def _at_least(k: int, n: int, value) -> bool:
+    """Whether a graph of order ``n`` is k-connected (k-edge-connected), given
+    ``value()``, its kappa (lambda), called only when needed.  The one home
+    of the K1 convention: K1 is 1-connected, though its value is 0."""
+    return k <= 0 or (k <= 1 if n == 1 else value() >= k)
+
+
 def is_k_connected(G: Graph, k: int) -> bool:
-    """k-connectivity with the convention that K1 is 1-connected."""
-    if k <= 0:
-        return True
-    if G.n == 1:
-        return k <= 1
-    return vertex_connectivity_flow(G) >= k
+    """k-connectivity by flow; K1 as :func:`_at_least` says."""
+    return _at_least(k, G.n, lambda: vertex_connectivity_flow(G))
 
 
 def is_k_edge_connected(G: Graph, k: int) -> bool:
-    """k-edge-connectivity with the convention that K1 is 1-edge-connected."""
-    if k <= 0:
-        return True
-    if G.n == 1:
-        return k <= 1
-    return edge_connectivity_flow(G) >= k
+    """k-edge-connectivity by flow; K1 as :func:`_at_least` says."""
+    return _at_least(k, G.n, lambda: edge_connectivity_flow(G))
 
 
 # -- edge-list text format -----------------------------------------------------

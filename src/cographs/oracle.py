@@ -112,6 +112,15 @@ def residual_satisfies(G: Graph, residual: Graph, prop: Preserved) -> bool:
     return prop.holds(_flow_values(residual).__getitem__)
 
 
+def _super_edge_connected(G: Graph, value: dict) -> bool:
+    """Every minimum edge cut isolates a vertex; a disconnected G is super
+    when exactly one vertex is isolated."""
+    try:
+        return all(c.isolates is not None for c in value["min_edge_cuts"])
+    except DisconnectedError:
+        return len(G.isolated_vertices()) == 1
+
+
 class _flow_values(dict):
     """Each value of G by its rule, computed on first lookup and kept for this
     G only; the rules get this dict as an argument, so it holds no cycle."""
@@ -123,9 +132,7 @@ class _flow_values(dict):
         "lambda": lambda G, value: edge_connectivity_flow(G),
         "maximally_connected": lambda G, value: value["kappa"] == value["delta"],
         "min_edge_cuts": lambda G, value: min_edge_cuts(G, cap=G.n),
-        "super_edge_connected": lambda G, value: (
-            all(c.isolates is not None for c in value["min_edge_cuts"])
-            if G.is_connected() else len(G.isolated_vertices()) == 1),
+        "super_edge_connected": _super_edge_connected,
         "ideally_connected": lambda G, value: all(
             internally_disjoint_paths(G, u, v) >= min(G.degree(u), G.degree(v))
             for i, u in enumerate(G.vertices) for v in G.vertices[i + 1:]),

@@ -776,6 +776,18 @@ class TestRarePaths:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
+    @pytest.mark.parametrize("text,error,kind", [
+        ("2\n0 0", "self-loop on vertex 0", "UnknownEdgeError"),
+        ("2\n0 5", "edge (0, 5) uses an unknown vertex", "UnknownVertexError"),
+        ("3 1\n0 1", "first data line must be the vertex count",
+         "EdgeListSyntaxError"),
+    ])
+    def test_edge_list_refusals(self, capsys, monkeypatch, text, error, kind):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "analyze", "-") \
+            == (3, json.dumps({"error": error, "type": kind}) + "\n")
+
     def test_superkeep_single_vertex_on_the_join_side(self, capsys):
         # G = H + K1; the host component's primary part leaves two vertices
         residual = {"cograph": True, "n": 8, "n_prime": 7, "t": 2, "delta": 2,

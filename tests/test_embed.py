@@ -263,6 +263,23 @@ class TestKeepMaximalConnectedness:
         residual = emb.residual(G)
         assert vertex_connectivity_flow(residual) == residual.min_degree()
 
+    # the map of each case, pinned: the sweeps of test_sweeps.py do not run
+    # these labeled inputs
+    CASE_PAIRS = [
+        ((0, 2), (1, 3), (2, 4)),
+        ((0, 6), (1, 1), (2, 7)),
+        ((0, 1), (1, 3), (2, 5), (3, 4), (4, 6)),
+        ((0, 4), (1, 3), (2, 6), (3, 5), (4, 7)),
+        ((0, 1), (1, 3), (2, 5), (3, 4), (4, 6), (5, 7), (6, 9)),
+        ((0, 4), (1, 1), (2, 5), (3, 2), (4, 6), (5, 3), (6, 7)),
+    ]
+
+    @pytest.mark.parametrize("case,pairs", zip(CASES, CASE_PAIRS))
+    def test_proof_branch_maps(self, case, pairs):
+        expr, tree = case
+        emb = keep_maximal_connectedness(G_of(expr), named_tree(tree))
+        assert emb.pairs == pairs
+
     def test_single_vertex_connected(self):
         G = G_of("(K1|K1)+K1")
         emb = keep_maximal_connectedness(G, named_tree("path:1"))
@@ -382,6 +399,22 @@ class TestKeepSuperEdgeConnectivity:
         emb.check(G)
         assert residual_satisfies(G, emb.residual(G), super_edge_connected())
 
+    # the map of each branch, pinned: the sweeps of test_sweeps.py do not
+    # run these labeled inputs
+    SINGLE_JOIN_PAIRS = [
+        ((0, 4), (1, 2), (2, 5)),
+        ((0, 1), (1, 0), (2, 2)),
+        ((0, 0), (1, 4), (2, 1)),
+        ((0, 0), (1, 1)),
+        ((0, 0),),
+    ]
+
+    @pytest.mark.parametrize("case,pairs", zip(SINGLE_JOIN, SINGLE_JOIN_PAIRS))
+    def test_single_join_vertex_maps(self, case, pairs):
+        expr, tree = case
+        emb = keep_super_edge_connectivity(G_of(expr), named_tree(tree))
+        assert emb.pairs == pairs
+
     @pytest.mark.parametrize("n", range(4, 14))
     def test_complete_input_takes_the_connectivity_construction(self, n):
         # every admitted path:m and star:m (m <= n - 3) lands on 0 .. m-1,
@@ -394,7 +427,7 @@ class TestKeepSuperEdgeConnectivity:
                 emb = keep_super_edge_connectivity(G, T)
                 assert emb.pairs == tuple((t, t) for t in range(m))
                 assert emb.mapping == \
-                    embed_module._keep_vertex_connectivity_mapping(G, ct, T, 2)
+                    embed_module._keep_vertex_connectivity_mapping(G, ct.root.children, T, 2)
 
     def test_not_super_rejected(self):
         with pytest.raises(NotSuperError):

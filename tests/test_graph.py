@@ -222,6 +222,13 @@ class TestEdgeListFormat:
             read_edge_list("x\n")
 
 
+class TestConstructor:
+    def test_negative_label_is_refused(self):
+        with pytest.raises(UnknownVertexError,
+                           match="^vertex labels must be non-negative$"):
+            Graph([-1], [])
+
+
 class TestTreeShape:
     def test_path_bipartition(self):
         T = TreeShape.from_graph(Graph.path(4))
