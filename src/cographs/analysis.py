@@ -17,7 +17,7 @@ to check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .cotree import (
     JOIN,
@@ -201,7 +201,7 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         """Every field in declaration order; ``lambda_`` is keyed ``"lambda"``."""
-        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+        return {name.rstrip("_"): value for name, value in vars(self).items()}
 
 
 def analyze(obj: Graph | Cotree) -> AnalysisReport:

@@ -116,10 +116,9 @@ class Cotree:
 
     def __init__(self, root: CotreeNode):
         self.root = root
-        lbls = root.labels()
-        if len(set(lbls)) != len(lbls):
+        self._labels = tuple(sorted(root.labels()))
+        if len(set(self._labels)) != len(self._labels):
             raise ValueError("duplicate leaf labels in cotree")
-        self._labels = tuple(sorted(lbls))
 
     @property
     def n(self) -> int:
@@ -231,11 +230,10 @@ def format_expression(ct: Cotree) -> str:
     stack: list[CotreeNode | str] = [ct.root]
     while stack:
         item = stack.pop()
-        order = None if isinstance(item, str) else _complete_order(item)
-        if order is not None:
-            tokens.append(f"K{order}")
-        elif isinstance(item, str):
+        if isinstance(item, str):
             tokens.append(item)
+        elif (order := _complete_order(item)) is not None:
+            tokens.append(f"K{order}")
         else:
             union = item.kind == UNION
             items: list[CotreeNode | str] = []
@@ -283,22 +281,17 @@ def materialize(ct: Cotree) -> Graph:
 # -- recognition ----------------------------------------------------------------------
 
 def find_induced_p4(G: Graph) -> tuple[int, int, int, int] | None:
-    """First 4-subset (sorted scan) inducing a P4, ordered along the path."""
+    """First 4-subset (sorted scan) inducing a P4, ordered along the path: six
+    adjacency tests per subset, still O(n^4) in the worst case."""
     for quad in combinations(G.vertices, 4):
-        inside = [[w for w in G.neighbors(v) if w in quad] for v in quad]
-        degs = sorted(len(a) for a in inside)
-        if degs != [1, 1, 2, 2]:
-            continue
-        ends = [v for v, a in zip(quad, inside) if len(a) == 1]
-        a = min(ends)
-        path = [a]
-        prev = None
-        cur = a
-        while len(path) < 4:
-            nxt = [w for w in G.neighbors(cur) if w in quad and w != prev][0]
-            path.append(nxt)
-            prev, cur = cur, nxt
-        return tuple(path)
+        near: dict[int, list[int]] = {v: [] for v in quad}
+        for u, v in combinations(quad, 2):
+            if G.has_edge(u, v):
+                near[u].append(v)
+                near[v].append(u)
+        if sorted(map(len, near.values())) == [1, 1, 2, 2]:  # only P4 has these
+            a, d = (v for v in quad if len(near[v]) == 1)  # its ends, a < d
+            return a, near[a][0], near[d][0], d
     return None
 
 

@@ -24,7 +24,6 @@ check, or a failed placement that the theorem guarantees, raises
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 
 from .analysis import (
@@ -180,18 +179,10 @@ def _subtree_shape(T: TreeShape, nodes) -> TreeShape:
 
 def _bfs_prefix(T: TreeShape, size: int) -> list[int]:
     """First ``size`` vertices of a BFS from the fixed root (smallest leaf)."""
-    root = T.root()
-    seen = [root]
-    seen_set = {root}
-    queue = deque([root])
-    while queue and len(seen) < size:
-        v = queue.popleft()
-        for w in sorted(T.tree.neighbors(v)):
-            if w not in seen_set and len(seen) < size:
-                seen.append(w)
-                seen_set.add(w)
-                queue.append(w)
-    return seen
+    seen = [T.root()]
+    for v in seen:  # the list is its own queue
+        seen += [w for w in sorted(T.tree.neighbors(v)) if w not in seen]
+    return seen[:size]
 
 
 def _split(G: Graph, part: CotreeNode) -> tuple[set[int], list[int]]:

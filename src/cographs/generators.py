@@ -14,7 +14,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 
 from .analysis import analyze
 from .cotree import (
@@ -275,13 +275,9 @@ def _shapes(size: int, excluded_root: str) -> tuple:
     root = "union" if excluded_root == "join" else "join"
     out = []
     for partition in _partitions(size):
-        pools = []
-        counts: list[tuple[int, int]] = []
-        for part in sorted(set(partition), reverse=True):
-            counts.append((part, partition.count(part)))
-        for part, count in counts:
-            pools.append(list(
-                combinations_with_replacement(_shapes(part, root), count)))
+        pools = [list(combinations_with_replacement(_shapes(part, root),
+                                                    len(list(run))))
+                 for part, run in groupby(partition)]  # equal parts adjoin
         for chosen in product(*pools):
             children = tuple(shape for group in chosen for shape in group)
             out.append((root, children))

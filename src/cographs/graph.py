@@ -63,22 +63,20 @@ class Graph:
     __slots__ = ("_vertices", "_adj")
 
     def __init__(self, vertices, edges):
-        vs = sorted(set(int(v) for v in vertices))
-        if not vs:
+        adj: dict[int, set[int]] = {v: set() for v in sorted({int(v) for v in vertices})}
+        if not adj:
             raise EmptySetError("a graph needs at least one vertex")
-        if any(v < 0 for v in vs):
+        if any(v < 0 for v in adj):
             raise UnknownVertexError("vertex labels must be non-negative")
-        vset = set(vs)
-        adj: dict[int, set[int]] = {v: set() for v in vs}
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise UnknownEdgeError(f"self-loop on vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise UnknownVertexError(f"edge ({u}, {v}) uses an unknown vertex")
             adj[u].add(v)
             adj[v].add(u)
-        self._vertices: tuple[int, ...] = tuple(vs)
+        self._vertices: tuple[int, ...] = tuple(adj)
         self._adj: dict[int, frozenset[int]] = {v: frozenset(a) for v, a in adj.items()}
 
     @classmethod
@@ -214,10 +212,9 @@ def delete_vertices(G: Graph, S) -> Graph:
     for v in S:
         if not G.has_vertex(v):
             raise UnknownVertexError(f"vertex {v} not in graph")
-    rest = set(G.vertices) - S
-    if not rest:
+    if len(S) == G.n:
         raise WouldBeEmptyError("cannot delete every vertex")
-    return induced_subgraph(G, rest)
+    return Graph._of({v: a - S for v, a in G._adj.items() if v not in S})
 
 
 def delete_edges(G: Graph, F) -> Graph:

@@ -25,7 +25,6 @@ from cographs.cotree import (
     RecognitionResult,
     _complete_order,
     _preorder,
-    find_induced_p4,
     format_expression,
     join,
     leaf,
@@ -225,6 +224,29 @@ class RecursiveParser:
         raise self.error(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
 
+def neighbourhood_p4_scan(G: Graph) -> tuple[int, int, int, int] | None:
+    """First 4-subset (sorted scan) inducing a P4, ordered along the path, by
+    filtering each vertex's whole neighbourhood and walking from the smaller
+    end: the scan :func:`cographs.cotree.find_induced_p4` replaced with six
+    adjacency tests per subset, kept as its reference."""
+    for quad in combinations(G.vertices, 4):
+        inside = [[w for w in G.neighbors(v) if w in quad] for v in quad]
+        degs = sorted(len(a) for a in inside)
+        if degs != [1, 1, 2, 2]:
+            continue
+        ends = [v for v, a in zip(quad, inside) if len(a) == 1]
+        a = min(ends)
+        path = [a]
+        prev = None
+        cur = a
+        while len(path) < 4:
+            nxt = [w for w in G.neighbors(cur) if w in quad and w != prev][0]
+            path.append(nxt)
+            prev, cur = cur, nxt
+        return tuple(path)
+    return None
+
+
 class _P4Found(Exception):
     def __init__(self, witness):
         self.witness = witness
@@ -239,7 +261,7 @@ def _decompose(G: Graph, S: set[int]):
     cocomps = _parts(G, S, complement=True)
     if len(cocomps) > 1:
         return join([_decompose(G, c) for c in cocomps])
-    witness = find_induced_p4(induced_subgraph(G, S))
+    witness = neighbourhood_p4_scan(induced_subgraph(G, S))
     if witness is None:
         raise PostconditionFailedError(
             "connected co-connected graph must contain a P4")
@@ -250,7 +272,8 @@ def recursive_recognize(G: Graph) -> RecognitionResult:
     """Recognition by recursive splitting into components and
     cocomponents, a P4 witness thrown up from the first prime part: the walk
     :func:`cographs.cotree.cotree_from_graph` replaced with an explicit
-    stack, kept as its reference."""
+    stack, kept as its reference.  Its witness comes from
+    :func:`neighbourhood_p4_scan`, so the two P4 scans are compared too."""
     try:
         return RecognitionResult(cotree=Cotree(_decompose(G, set(G.vertices))))
     except _P4Found as found:

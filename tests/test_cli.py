@@ -770,6 +770,7 @@ class TestRarePaths:
         (("gen", "--tight", "th1case1"), "--tight takes kind:k,m or kind:m"),
         (("gen", "--tight", "th1case1:1,2,3"),
          "--tight takes at most two parameters"),
+        (("gen", "--tight", "th1case1:a,b"), "bad --tight parameters 'a,b'"),
     ])
     def test_usage_errors(self, capsys, argv, message):
         assert main(list(argv)) == 1
@@ -787,6 +788,22 @@ class TestRarePaths:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run(capsys, "analyze", "-") \
             == (3, json.dumps({"error": error, "type": kind}) + "\n")
+
+    @pytest.mark.parametrize("argv,text,error,kind", [
+        (("gen", "--tight", "th1case1:0"), "", "m must be a positive integer",
+         "ParamViolationError"),
+        (("gen", "--tight", "th1case1:3"), "", "th1case1 needs a positive k",
+         "ParamViolationError"),
+        (("analyze", "-"), "0\n", "a graph needs at least one vertex",
+         "EmptySetError"),
+    ])
+    def test_domain_refusals(self, capsys, monkeypatch, argv, text, error, kind):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) \
+            == (json.dumps({"error": error, "type": kind}) + "\n", "")
 
     def test_superkeep_single_vertex_on_the_join_side(self, capsys):
         # G = H + K1; the host component's primary part leaves two vertices

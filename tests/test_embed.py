@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 from conftest import first_mapping_twice, tree_for, two_component_cograph
+from test_sweeps import TREES as SWEEP_TREES
 
 import cographs.embed as embed_module
 import cographs.oracle as oracle_module
@@ -44,6 +45,7 @@ from cographs.embedding import (
     DisjointPair,
     Embedding,
     Preserved,
+    _placement_order,
     exact_kappa,
     k_connected,
     k_edge_connected,
@@ -144,6 +146,22 @@ class TestExtendEmbedding:
         emb = extend_embedding(G, partial, T)
         emb.check(G)
         assert emb.mapping[0] == partial.mapping[0]
+
+
+class TestRecordRefusals:
+    def test_unknown_property_kind(self):
+        with pytest.raises(ValueError, match="^unknown property kind 'bogus'$"):
+            Preserved("bogus").holds({"n": 3, "kappa": 2}.__getitem__)
+
+    def test_check_needs_the_whole_tree(self):
+        emb = Embedding.from_mapping(named_tree("path:3"), {0: 0, 1: 1})
+        with pytest.raises(ValueError, match="^embedding does not cover the whole tree$"):
+            emb.check(Graph.complete(3))
+
+    def test_check_needs_the_image_in_the_graph(self):
+        emb = Embedding.from_mapping(named_tree("path:2"), {0: 0, 1: 7})
+        with pytest.raises(ValueError, match="^image vertex 7 not in graph$"):
+            emb.check(Graph.complete(3))
 
 
 class TestEmbedAcross:
@@ -843,3 +861,53 @@ class TestSharedPath:
         G, T = G_of("K1|K3"), named_tree("path:3")
         with pytest.raises(ValueError, match="does not preserve edges"):
             embed_module._place(G, T, G.vertices, {0: 0, 1: 1})
+
+
+def _greedy_placement(G, T, allowed, partial):
+    """The placement that takes the smallest candidate at every step and
+    never retreats, or None where it gets stuck."""
+    allowed = set(allowed)
+    assignment = dict(partial or {})
+    used = set(assignment.values())
+    for t, parent in _placement_order(T, assignment):
+        pool = allowed if parent is None else G.neighbors(assignment[parent])
+        options = sorted((set(pool) & allowed) - used)
+        if not options:
+            return None
+        assignment[t] = options[0]
+        used.add(options[0])
+    return assignment
+
+
+class TestNoBacktracking:
+    """``_embed_mapping`` says that under its callers' preconditions the
+    first choice always works: every construction's first placement is the
+    greedy one."""
+
+    def test_every_small_cograph_places_greedily(self, monkeypatch):
+        real = embed_module._placements
+        firsts = []
+
+        def recording(G, T, allowed, partial=None):
+            placements = real(G, T, allowed, partial)
+            first = next(placements, None)
+            firsts.append((first, _greedy_placement(G, T, allowed, partial)))
+            if first is not None:
+                yield first
+                yield from placements
+
+        monkeypatch.setattr(embed_module, "_placements", recording)
+        for n in range(1, 7):
+            for ct in enumerate_cotrees(n):
+                for name, takes_k, two_trees in _THEOREMS.values():
+                    keep = getattr(embed_module, name)
+                    for tree in SWEEP_TREES:
+                        T = named_tree(tree)
+                        args = (T, T) if two_trees else (T,)
+                        for k in ((1, 2, 3) if takes_k else (None,)):
+                            try:
+                                keep(ct, *args, *([k] if k else []))
+                            except CographError as exc:
+                                assert not isinstance(exc, PostconditionFailedError)
+        assert len(firsts) == 892  # placements the constructions asked for
+        assert [pair for pair in firsts if pair[0] != pair[1]] == []

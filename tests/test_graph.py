@@ -99,6 +99,18 @@ class TestSurgery:
         with pytest.raises(UnknownVertexError):
             internally_disjoint_paths(G, 0, 9)
 
+    def test_refusals_name_their_fault(self):
+        G = Graph.cycle(4)
+        with pytest.raises(UnknownVertexError, match=r"^vertex 99 not in graph$"):
+            delete_vertices(G, {99})
+        # an unknown label is named even when the rest would empty the graph
+        with pytest.raises(UnknownVertexError, match=r"^vertex 99 not in graph$"):
+            delete_vertices(G, {0, 1, 2, 3, 99})
+        with pytest.raises(WouldBeEmptyError, match="^cannot delete every vertex$"):
+            delete_vertices(G, [3, 2, 1, 0, 0])
+        with pytest.raises(UnknownVertexError, match="^endpoints must be distinct$"):
+            internally_disjoint_paths(G, 0, 0)
+
     def test_surgery_matches_validating_constructor(self):
         # surgery builds from adjacency unchecked; it must equal the graph the
         # public constructor builds from the same vertices and edges

@@ -1,5 +1,5 @@
-"""Property-based tests of parsing, recognition and the cut oracle
-(hypothesis)."""
+"""Property-based tests of parsing, recognition, the cut oracle and the
+constructions (hypothesis)."""
 
 import contextlib
 import io
@@ -14,21 +14,40 @@ from conftest import (
     parse_outcome,
     recognition_outcome,
     recursive_recognize,
+    two_component_cograph,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cographs import (
     Graph,
+    analyze,
     cotree_from_graph,
+    embed,
     format_expression,
+    is_k_connected,
+    is_k_edge_connected,
+    keep_vertex_connectivity_bound,
     materialize,
     min_edge_cuts,
     parse_expression,
     random_cotree,
+    random_tree,
+    vertex_connectivity_flow,
 )
-from cographs.cli import main
+from cographs.cli import _THEOREMS, main
+from cographs.errors import (
+    BoundViolatedError,
+    CographError,
+    DegreeTooLowError,
+    IsKmError,
+    NotKConnectedError,
+    NotKEdgeConnectedError,
+    NotMaximallyConnectedError,
+    NotSuperError,
+)
 from cographs.graph import _MAX_ORDER
+from cographs.oracle import DEFAULT_CUT_CAP, _flow_values
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -195,3 +214,103 @@ def test_deep_or_huge_input_gets_an_answer_or_exit_3(request):
         return
     assert code in (0, 3)
     json.loads(out.getvalue())
+
+
+@st.composite
+def construction_inputs(draw):
+    """A random cograph (n <= 24, mostly connected), two random trees of one
+    order m <= 5 and k <= 5."""
+    ct = random_cotree(draw(st.integers(1, 24)), draw(st.integers(0, 2**32 - 1)),
+                       join_bias=draw(st.floats(0.5, 1.0)))
+    m = draw(st.integers(1, 5))
+    trees = tuple(random_tree(m, draw(st.integers(0, 2**32 - 1)))
+                  for _ in range(2))
+    return ct, trees, draw(st.integers(1, 5))
+
+
+@st.composite
+def pair_inputs(draw):
+    """The natural domain of the two disjoint-pair theorems."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ct = two_component_cograph(k, m, draw(st.integers(0, 2**32 - 1)))
+    T = random_tree(m, draw(st.integers(0, 2**32 - 1)))
+    return ct, (T, T), k
+
+
+def _refusal_confirmed(exc: CographError, G: Graph, m: int, k: int) -> bool:
+    """Whether a second route agrees with a ``keep_*`` refusal."""
+    if isinstance(exc, NotKConnectedError):
+        return not is_k_connected(G, k)
+    if isinstance(exc, NotKEdgeConnectedError):
+        return not is_k_edge_connected(G, k)
+    if isinstance(exc, BoundViolatedError):
+        if exc.required_delta is not None:
+            return G.min_degree() < exc.required_delta
+        return G.n == 1 or not G.is_connected()
+    if isinstance(exc, DegreeTooLowError):
+        return G.min_degree() < m - 1
+    if isinstance(exc, IsKmError):
+        return G.n == m and G.is_complete()
+    if isinstance(exc, NotMaximallyConnectedError):
+        return vertex_connectivity_flow(G) != G.min_degree()
+    if isinstance(exc, NotSuperError):
+        return G.n > DEFAULT_CUT_CAP or not _flow_values(G)["super_edge_connected"]
+    return False
+
+
+def _call_every_theorem(ct, trees, k):
+    G = materialize(ct)
+    for name, takes_k, two_trees in _THEOREMS.values():
+        args = trees if two_trees else trees[:1]
+        try:
+            result = getattr(embed, name)(ct, *args, *([k] if takes_k else []))
+        except CographError as exc:
+            assert _refusal_confirmed(exc, G, trees[0].order, k), (name, exc)
+            continue
+        # a copy that is returned keeps its property by flow
+        residual = result.residual(G)
+        prop = (result.first if two_trees else result).preserved
+        if residual.n <= DEFAULT_CUT_CAP or prop.kind != "super_edge_connected":
+            assert prop.holds(_flow_values(residual).__getitem__), name
+
+
+@SETTINGS
+@given(construction_inputs())
+def test_constructions_return_or_refuse_for_a_reason(inputs):
+    _call_every_theorem(*inputs)
+
+
+@SETTINGS
+@given(pair_inputs())
+def test_pair_constructions_return_or_refuse_for_a_reason(inputs):
+    _call_every_theorem(*inputs)
+
+
+# the delta each single-tree theorem's abstract asks for, as a function of
+# (k, m); th5 and th6 keep lambda, th1 and th3 keep kappa
+_FLOORS = {
+    "keep_vertex_connectivity": lambda k, m: 3 * k // 2 + m - 1,
+    "keep_connectivity_edge_delete": lambda k, m: k + m - 1,
+    "keep_edge_connectivity_edge_delete": lambda k, m: k + m - 1,
+    "keep_edge_connectivity_vertex_delete": lambda k, m: k + m - (k == 1),
+}
+
+
+@SETTINGS
+@given(construction_inputs())
+def test_constructions_never_refuse_above_the_floor(inputs):
+    ct, (T, _), k = inputs
+    report = analyze(ct)
+    for name, floor in _FLOORS.items():
+        # joining K_c adds c to kappa, lambda and delta
+        c = max(0, k - report.kappa, floor(k, T.order) - report.delta)
+        lifted = parse_expression(format_expression(ct) + (f"+K{c}" if c else ""))
+        getattr(embed, name)(lifted, T, k)
+
+
+def test_vertex_connectivity_bound_never_exceeds_the_floor():
+    for k in range(1, 31):
+        for m in range(1, 31):
+            for n_prime in range(1, 61):
+                _, bound = keep_vertex_connectivity_bound(k, m, n_prime)
+                assert bound <= 3 * k // 2 + m - 1, (k, m, n_prime)
