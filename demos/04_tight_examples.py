@@ -34,6 +34,10 @@ certify("complete graph one below the vertex-deletion bound",
         tight_example("th1case1", k=2, m=2), "path:2",
         Preserved("k_connected", 2))
 
+certify("two split halves, one below the small-primary bound",
+        tight_example("th1case2", k=4, m=1), "path:1",
+        Preserved("k_connected", 4))
+
 certify("triple clique plus hubs, one below the large-primary bound",
         tight_example("th1case4", k=1, m=2), "path:2",
         Preserved("k_connected", 1))
@@ -48,7 +52,7 @@ certify("triple clique plus hub: connectivity itself is unkeepable",
 
 print("Large-window constructions (generated and analysis-checked; their")
 print("exhaustive certificates exceed desk scale):")
-for kind, k, m in (("th1case2", 4, 1), ("th1case3", 6, 5), ("th2tight", 3, 1)):
+for kind, k, m in (("th1case3", 6, 5), ("th2tight", 3, 1)):
     ex = tight_example(kind, k=k, m=m)
     rep = analyze(ex.cotree)
     print(f"  {kind}(k={k}, m={m}): {ex.expression}  "

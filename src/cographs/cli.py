@@ -234,15 +234,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except PostconditionFailedError as exc:
-        payload, code = {"error": str(exc),
-                         "type": type(exc).__name__}, EXIT_POSTCONDITION
     except CographError as exc:
         payload = {"error": str(exc), "type": type(exc).__name__}
         witness = getattr(exc, "witness", None)
         if witness is not None:
             payload["witness"] = list(witness)
-        code = EXIT_DOMAIN
+        code = (EXIT_POSTCONDITION if isinstance(exc, PostconditionFailedError)
+                else EXIT_DOMAIN)
     indent = 2 if args.pretty else None
     print(json.dumps(payload, indent=indent))
     return code

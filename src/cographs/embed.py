@@ -73,7 +73,7 @@ from .graph import (
     delete_vertices,
     induced_subgraph,
 )
-from .oracle import _flow_values
+from .oracle import DEFAULT_CUT_CAP, _flow_values
 
 __all__ = [
     "greedy_embed",
@@ -491,15 +491,13 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
     _require(ell1 > 0 and ell2 > 0, "overlap sizes must be positive")
     _require(ell1 + ell2 == chosen.order - k + 1, "overlap identity failed")
     _require(max(ell1, ell2) <= chosen.order, "overlap exceeds the chosen part")
+    # the larger overlap comes from the chosen part, the smaller from G1 - x
+    _require(len(g1) - 1 >= min(ell1, ell2), "primary cocomponent too small")
+    big = sorted(chosen.labels())[:max(ell1, ell2)]
+    small = sorted(g1 - {x})[:min(ell1, ell2)]
     if ell2 >= ell1:
-        l2 = sorted(chosen.labels())[:ell2]
-        _require(len(g1) - 1 >= ell1, "primary cocomponent too small")
-        u1 = sorted(g1 - {x})[:ell1]
-        return _across_mapping(T, s1 + u1, prefix_labels + l2, G)
-    l1 = sorted(chosen.labels())[:ell1]
-    _require(len(g1) - 1 >= ell2, "primary cocomponent too small")
-    u2 = sorted(g1 - {x})[:ell2]
-    return _across_mapping(T, s1 + l1, prefix_labels + u2, G)
+        return _across_mapping(T, s1 + small, prefix_labels + big, G)
+    return _across_mapping(T, s1 + big, prefix_labels + small, G)
 
 
 # -- connectivity keeping tree, edge deletion -----------------------------------------
@@ -547,9 +545,6 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
 
 # -- super edge-connectedness keeping tree ------------------------------------------------
 
-_SUPER_BRUTE_CAP = 12
-
-
 def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     """Subtree copy whose vertex deletion keeps G super edge-connected.
 
@@ -573,7 +568,7 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
         mapping = _super_single_join_vertex(G, T, parts[0])
 
     return _result(G, DeleteMode.VERTEX, tag, (T, mapping),
-                   oracle_max_n=_SUPER_BRUTE_CAP)
+                   oracle_max_n=DEFAULT_CUT_CAP)
 
 
 def _super_single_join_vertex(G: Graph, T: TreeShape,

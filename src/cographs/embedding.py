@@ -228,10 +228,7 @@ class DisjointPair:
         return self.first.image | self.second.image
 
     def residual(self, G: Graph) -> Graph:
-        if self.first.mode is DeleteMode.VERTEX:
-            return delete_vertices(G, self.combined_image())
-        return delete_edges(G, self.first.graph_edges()
-                            + self.second.graph_edges())
+        return self.second.residual(self.first.residual(G))
 
     def to_dict(self) -> dict:
         return {"first": self.first.to_dict(), "second": self.second.to_dict()}

@@ -183,8 +183,6 @@ def random_cotree(n: int, seed: int, join_bias: float = 0.5) -> Cotree:
         children = [build(g, child_kind) for g in groups]
         return join(children) if kind == "join" else union(children)
 
-    if n == 1:
-        return Cotree(leaf(0))
     root_kind = "join" if rng.random() < join_bias else "union"
     return Cotree(build(list(range(n)), root_kind))
 

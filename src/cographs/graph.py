@@ -433,9 +433,8 @@ class TreeShape:
         side1 = tuple(sorted(v for v in tree.vertices if color[v] == 1))
         # ties go to the side containing the smallest label
         v1, v2 = (side0, side1) if len(side0) >= len(side1) else (side1, side0)
-        Delta = tree.max_degree() if m > 1 else 0
         return cls(tree=tree, order=m, bipartition=(v1, v2),
-                   max_degree=Delta, beta=len(v2))
+                   max_degree=tree.max_degree(), beta=len(v2))
 
     @property
     def m(self) -> int:

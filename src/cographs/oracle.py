@@ -195,8 +195,6 @@ def min_edge_cuts(G: Graph, cap: int = DEFAULT_CUT_CAP) -> list[CutRecord]:
         raise TooLargeError(f"graph order {n} exceeds the cap {cap}")
     if not G.is_connected():
         raise DisconnectedError("minimum edge cuts need a connected graph")
-    if n == 1:
-        return []
     verts = G.vertices
     index = {v: i for i, v in enumerate(verts)}
     adj_bits = [sum(1 << index[w] for w in G.neighbors(v)) for v in verts]

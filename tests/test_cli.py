@@ -771,6 +771,7 @@ class TestRarePaths:
         (("gen", "--tight", "th1case1:1,2,3"),
          "--tight takes at most two parameters"),
         (("gen", "--tight", "th1case1:a,b"), "bad --tight parameters 'a,b'"),
+        (("gen", "--random", "5"), "--random takes n,seed"),
     ])
     def test_usage_errors(self, capsys, argv, message):
         assert main(list(argv)) == 1

@@ -240,6 +240,12 @@ class TestDecompositionViews:
         with pytest.raises(ValueError, match="^duplicate leaf labels in cotree$"):
             Cotree(union([leaf(0), leaf(0)]))
 
+    def test_reprs(self):
+        assert [repr(x) for x in (leaf(3), join([leaf(0), leaf(1)]),
+                                  union([leaf(0), leaf(1)]),
+                                  parse_expression("K2"))] \
+            == ["Leaf(3)", "Join(order=2)", "Union(order=2)", "Cotree(K2)"]
+
     def test_one_child_node_is_refused(self):
         with pytest.raises(ArityError, match="^union node needs at least two"):
             union([leaf(0)])

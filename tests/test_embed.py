@@ -14,6 +14,8 @@ import cographs.embed as embed_module
 import cographs.oracle as oracle_module
 from cographs import (
     Graph,
+    delete_edges,
+    delete_vertices,
     edge_connectivity_flow,
     embed_across,
     enumerate_cotrees,
@@ -63,6 +65,7 @@ from cographs.errors import (
     NotSuperError,
     PartTooSmallError,
     PostconditionFailedError,
+    WouldBeEmptyError,
 )
 from cographs.oracle import residual_satisfies
 
@@ -218,6 +221,21 @@ class TestKeepVertexConnectivity:
         with pytest.raises(BoundViolatedError) as err:
             keep_vertex_connectivity(Graph.complete(5), named_tree("path:3"), 2)
         assert err.value.required_delta == 5
+
+    # one instance below each case bound: (expr, tree, k, case, bound, delta)
+    REFUSALS = [
+        ("K3", "path:3", 2, "complete", 5, 2),
+        ("(K1|K1)+K3", "path:2", 2, "small_primary", 4, 3),
+        ("(K1|K1|K1)+K2", "path:3", 2, "medium_primary", 5, 2),
+        ("(K1|K1|K1)+K1", "path:2", 1, "large_primary", 2, 1),
+    ]
+
+    @pytest.mark.parametrize("expr,tree,k,case,bound,delta", REFUSALS)
+    def test_refusal_names_its_case(self, expr, tree, k, case, bound, delta):
+        with pytest.raises(BoundViolatedError) as err:
+            keep_vertex_connectivity(G_of(expr), named_tree(tree), k)
+        assert (err.value.case, err.value.required_delta) == (case, bound)
+        assert str(err.value) == f"case {case} needs delta >= {bound}, got {delta}"
 
     def test_not_k_connected(self):
         with pytest.raises(NotKConnectedError):
@@ -446,6 +464,31 @@ class TestKeepSuperEdgeConnectivity:
                 assert emb.pairs == tuple((t, t) for t in range(m))
                 assert emb.mapping == \
                     embed_module._keep_vertex_connectivity_mapping(G, ct.root.children, T, 2)
+
+    # residual orders 13-16, all within the cut enumeration cap of the oracle
+    LARGE_RESIDUALS = [
+        ("(K1|K1|K1)+(K2|K1)+(K1|K1)+(K1|K1)+K1+K1+K1+K1+K1+K1", "path:3"),
+        ("(K1|K1|K1)+(K2|K1)+(K1|K1)+(K1|K1)+K1+K1+K1+K1+K1+K1", "path:2"),
+        ("K17", "path:2"),
+        ("K17", "path:1"),
+    ]
+
+    @pytest.mark.parametrize("expr,tree", LARGE_RESIDUALS)
+    def test_residual_up_to_the_cut_cap_is_enumerated(self, expr, tree,
+                                                      monkeypatch):
+        orders = []
+        real = oracle_module.min_edge_cuts
+
+        def counted(G, *args, **kwargs):
+            orders.append(G.n)
+            return real(G, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "min_edge_cuts", counted)
+        G = G_of(expr)
+        emb = keep_super_edge_connectivity(G, named_tree(tree))
+        residual_order = G.n - len(emb.image)
+        assert 13 <= residual_order <= oracle_module.DEFAULT_CUT_CAP
+        assert orders == [residual_order]
 
     def test_not_super_rejected(self):
         with pytest.raises(NotSuperError):
@@ -685,6 +728,31 @@ class TestVerifier:
         with pytest.raises(PostconditionFailedError,
                            match="not a copy of the tree: .*not vertex-disjoint"):
             keep(G_of("(K3|K3)+(K1|K1)"), T, T)
+
+    PAIR_TREES = (named_tree("path:2"), named_tree("star:3"))
+
+    @pytest.mark.parametrize("mode", list(DeleteMode))
+    def test_pair_residual_deletes_both_images(self, mode):
+        G = G_of("(K3|K3)+(K1|K1)")
+        T1, T2 = self.PAIR_TREES
+        pair = DisjointPair(
+            Embedding.from_mapping(T1, {0: 0, 1: 1}, mode),
+            Embedding.from_mapping(T2, {0: 4, 1: 3, 2: 5}, mode))
+        if mode is DeleteMode.VERTEX:
+            expected = delete_vertices(G, pair.combined_image())
+        else:
+            expected = delete_edges(G, pair.first.graph_edges()
+                                    + pair.second.graph_edges())
+        assert pair.residual(G) == expected
+
+    def test_pair_covering_the_graph_has_no_residual(self):
+        G = G_of("(K1|K1)+K3")
+        T1, T2 = self.PAIR_TREES
+        pair = DisjointPair(Embedding.from_mapping(T1, {0: 0, 1: 2}),
+                            Embedding.from_mapping(T2, {0: 3, 1: 1, 2: 4}))
+        assert pair.combined_image() == frozenset(G.vertices)
+        with pytest.raises(WouldBeEmptyError, match="^cannot delete every vertex$"):
+            pair.residual(G)
 
     def test_pair_constructor_raises_value_error(self):
         emb = greedy_embed(G_of("K3"), named_tree("path:2"))

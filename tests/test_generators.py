@@ -131,6 +131,39 @@ class TestTightnessCertificates:
         assert all(vertex_connectivity_flow(delete_vertices(G, {a, b})) != 3
                    for a, b in pairs)
 
+    # every admissible (k, m) up to the oracle's cap -> copies of path:m;
+    # (6, 1) and (6, 2) build the same graph, (K3|K3)+(K3|K3)
+    SMALL_PRIMARY = {(4, 1): 8, (5, 1): 10, (6, 1): 12, (6, 2): 48,
+                     (7, 1): 14, (7, 2): 67}
+
+    def test_small_primary_pairs_within_the_cap(self):
+        from cographs.oracle import DEFAULT_EMBED_CAP
+        admissible = set()
+        for k in range(1, DEFAULT_EMBED_CAP + 1):
+            for m in range(1, DEFAULT_EMBED_CAP + 1):
+                try:
+                    ex = tight_example("th1case2", k=k, m=m)
+                except ParamViolationError:
+                    continue
+                if materialize(ex.cotree).n <= DEFAULT_EMBED_CAP:
+                    admissible.add((k, m))
+        assert admissible == set(self.SMALL_PRIMARY)
+
+    @pytest.mark.parametrize("k,m", sorted(SMALL_PRIMARY))
+    def test_small_primary_case_grid(self, k, m):
+        from cographs import exhaustive_keeping_search, keep_vertex_connectivity_bound
+        from cographs.embedding import Preserved
+        from cographs.oracle import ProvenNone
+        ex = tight_example("th1case2", k=k, m=m)
+        assert keep_vertex_connectivity_bound(k, m, ex.claimed["n_prime"])[0] \
+            == "small_primary"
+        G = materialize(ex.cotree)
+        for shape in (f"path:{m}", f"star:{m}"):
+            result = exhaustive_keeping_search(G, named_tree(shape),
+                                               Preserved("k_connected", k))
+            assert isinstance(result, ProvenNone)
+            assert result.examined == self.SMALL_PRIMARY[k, m]
+
     def test_max_edge_keep_case(self):
         # any deletion of a tree of order m disconnects the graph
         from cographs import exhaustive_keeping_search, materialize, named_tree
@@ -145,6 +178,15 @@ class TestTightnessCertificates:
 class TestRandomCotree:
     def test_trivial(self):
         assert random_cotree(1, 0).n == 1
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: random_cotree(0, 1), "n must be positive"),
+        (lambda: enumerate_cotrees(0), "n must be positive"),
+        (lambda: random_tree(0, 1), "m must be positive"),
+    ])
+    def test_order_zero_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
     def test_deterministic(self):
         a = format_expression(random_cotree(9, 42))
@@ -168,6 +210,7 @@ class TestTrees:
     def test_star_spec(self):
         T = named_tree("star:5")
         assert T.max_degree == 4 and T.beta == 1
+        assert named_tree("star:4").m == 4
 
     def test_path_spec(self):
         T = named_tree("path:4")

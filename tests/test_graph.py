@@ -240,6 +240,13 @@ class TestConstructor:
                            match="^vertex labels must be non-negative$"):
             Graph([-1], [])
 
+    def test_neighbors_of_an_unknown_vertex(self):
+        with pytest.raises(UnknownVertexError, match="^vertex 9 not in graph$"):
+            Graph.path(2).neighbors(9)
+
+    def test_a_graph_equals_no_other_type(self):
+        assert (Graph.path(2) == 1) is False
+
 
 class TestTreeShape:
     def test_path_bipartition(self):

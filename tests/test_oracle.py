@@ -29,6 +29,7 @@ from cographs import (
 from cographs.embedding import (
     DeleteMode,
     Preserved,
+    _placements,
     exact_kappa,
     k_connected,
     k_edge_connected,
@@ -36,7 +37,7 @@ from cographs.embedding import (
     super_edge_connected,
 )
 from cographs.errors import DisconnectedError, TooLargeError
-from cographs.oracle import ProvenNone, residual_satisfies
+from cographs.oracle import CutRecord, ProvenNone, residual_satisfies
 
 
 class TestEnumeration:
@@ -146,6 +147,20 @@ class TestExhaustiveSearch:
                                            mode=DeleteMode.EDGE)
         assert not isinstance(result, ProvenNone)
         assert result.mode is DeleteMode.EDGE
+
+
+class TestRecords:
+    def test_cut_record_to_dict(self):
+        record = CutRecord(side=(0,), size=1, isolates=0)
+        assert record.to_dict() == {"side": [0], "size": 1, "isolates": 0}
+
+    def test_proven_none_is_false(self):
+        assert bool(ProvenNone(examined=3)) is False
+
+    def test_a_full_partial_placement_is_yielded_once(self):
+        G, T = Graph.path(3), named_tree("path:2")
+        full_map = {0: 1, 1: 2}
+        assert list(_placements(G, T, G.vertices, full_map)) == [full_map]
 
 
 class TestMinEdgeCuts:
