@@ -26,6 +26,7 @@ from .cotree import (
     Cotree,
     CotreeNode,
     _complete_order,
+    _preorder,
     _top,
     cotree_from_graph,
     materialize,
@@ -160,14 +161,9 @@ def is_ideally_connected(ct: Cotree) -> bool:
     their lowest common union node, and a child of a union node contains an
     edge exactly when it is not a leaf.
     """
-    stack = [ct.root]
-    while stack:
-        node = stack.pop()
-        inner = [c for c in node.children if c.kind != LEAF]
-        if node.kind == UNION and len(inner) >= 2:
-            return False
-        stack.extend(inner)
-    return True
+    return not any(node.kind == UNION
+                   and sum(c.kind != LEAF for c in node.children) >= 2
+                   for node in _preorder(ct.root))
 
 
 def is_k_connected_cograph(ct: Cotree, k: int) -> bool:

@@ -220,13 +220,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         payload, code = _RUNNERS[args.verb](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -226,16 +226,13 @@ def _inputs(G: Graph | Cotree, k: int = 1, trees: tuple[TreeShape, ...] = (),
 
 
 def _delta_at_least(report: AnalysisReport, bound: int, case: str | None = None,
-                    formula: str = "", error=BoundViolatedError) -> int:
-    """delta of the cograph, after checking it against a theorem's bound."""
-    delta = report.delta
-    if delta < bound:
+                    formula: str = "") -> None:
+    """Check delta of the cograph against a theorem's bound."""
+    if report.delta < bound:
         need = f"case {case} needs" if case else "need"
-        message = f"{need} delta >= {formula}{bound}, got {delta}"
-        if error is BoundViolatedError:
-            raise BoundViolatedError(message, required_delta=bound, case=case)
-        raise error(message)
-    return delta
+        raise BoundViolatedError(
+            f"{need} delta >= {formula}{bound}, got {report.delta}",
+            required_delta=bound, case=case)
 
 
 def _verified(G: Graph, *embeddings: Embedding,
@@ -408,7 +405,9 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     m = T.order
     if G.n == m and report.n_prime == 1:
         raise IsKmError(f"input is the complete graph K_{m}")
-    delta = _delta_at_least(report, m - 1, error=DegreeTooLowError)
+    delta = report.delta
+    if delta < m - 1:
+        raise DegreeTooLowError(f"need delta >= {m - 1}, got {delta}")
 
     isolated = _primary_isolated(parts)
     _require(bool(isolated), "no primary cocomponent has an isolated vertex")
@@ -417,9 +416,10 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
     kappa = report.kappa
     _require(len(s) == kappa == delta, "maximally connected bookkeeping failed")
     k = delta - (m - 1)
+    rest = sorted(g1 - {x})
 
-    if kappa == 0:  # delta = 0 forces m = 1
-        mapping = {T.tree.vertices[0]: min(v for v in G.vertices if v != x)}
+    if kappa == 0:  # delta = 0 forces m = 1; G1 is all of G
+        mapping = {T.tree.vertices[0]: rest[0]}
     else:
         v1, v2 = T.bipartition
         p = len(g1) - k
@@ -427,24 +427,23 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
         if p >= m - 1 or (p >= 1 and q >= m - p - 1):
             # wide primary: smaller class into G1 - x, larger class into S
             _require(len(s) >= len(v1), "join side smaller than |V1|")
-            _require(len(g1) - 1 >= len(v2), "primary cocomponent too small")
-            X = s[:len(v1)]
-            Y = sorted(g1 - {x})[:len(v2)]
-            mapping = _across_mapping(T, X, Y, G)
+            _require(len(rest) >= len(v2), "primary cocomponent too small")
+            mapping = _across_mapping(T, s[:len(v1)], rest[:len(v2)], G)
         elif p <= 0:
             mapping = _place(G, T, s)
         else:
             others = parts[:idx] + parts[idx + 1:]
-            mapping = _keep_maximal_balanced(G, T, x, g1, s, others, k, p, q)
+            mapping = _keep_maximal_balanced(G, T, rest, s, others, k, p, q)
 
     _require(x not in mapping.values(), "the shielded isolated vertex was deleted")
     return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
-def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
+def _keep_maximal_balanced(G: Graph, T: TreeShape, rest: list[int],
                            s: list[int], others: tuple[CotreeNode, ...],
                            k: int, p: int, q: int) -> dict[int, int]:
-    """The balanced-bipartition case (1 <= p <= m-2, q < m-p-1)."""
+    """The balanced-bipartition case (1 <= p <= m-2, q < m-p-1); ``rest``
+    is G1 - x in ascending order."""
     m = T.order
     v1, v2 = T.bipartition
     r = (m - p - q - 1 + 1) // 2  # ceil
@@ -462,8 +461,8 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
         outside = [v for v in s if v not in labels2]
         _require(len(outside) >= q + r, "not enough room outside the second part")
         s11 = outside[:q + r]
-        _require(len(g1) - 1 >= (p + 1) // 2, "primary cocomponent too small")
-        s12 = sorted(g1 - {x})[:(p + 1) // 2]
+        _require(len(rest) >= (p + 1) // 2, "primary cocomponent too small")
+        s12 = rest[:(p + 1) // 2]
         return _across_mapping(T, s12 + s11, s2, G)
 
     # group even-indexed cocomponents until they cover the smaller class
@@ -492,9 +491,9 @@ def _keep_maximal_balanced(G: Graph, T: TreeShape, x: int, g1: set[int],
     _require(ell1 + ell2 == chosen.order - k + 1, "overlap identity failed")
     _require(max(ell1, ell2) <= chosen.order, "overlap exceeds the chosen part")
     # the larger overlap comes from the chosen part, the smaller from G1 - x
-    _require(len(g1) - 1 >= min(ell1, ell2), "primary cocomponent too small")
+    _require(len(rest) >= min(ell1, ell2), "primary cocomponent too small")
     big = sorted(chosen.labels())[:max(ell1, ell2)]
-    small = sorted(g1 - {x})[:min(ell1, ell2)]
+    small = rest[:min(ell1, ell2)]
     if ell2 >= ell1:
         return _across_mapping(T, s1 + small, prefix_labels + big, G)
     return _across_mapping(T, s1 + big, prefix_labels + small, G)

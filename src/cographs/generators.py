@@ -147,8 +147,7 @@ def tight_example(kind: str, k: int | None = None, m: int | None = None) -> Tigh
         if report[key] != value:
             raise PostconditionFailedError(
                 f"{kind}: claimed {key}={value} but analysis says {report[key]}")
-    return TightExample(kind=kind, k=k if kind in _NEEDS_K else None, m=m,
-                        cotree=ct, claimed=dict(claimed))
+    return TightExample(kind=kind, k=k, m=m, cotree=ct, claimed=claimed)
 
 
 # -- random cographs ---------------------------------------------------------------
@@ -265,11 +264,12 @@ def named_tree(spec: str) -> TreeShape:
 # -- exhaustive shape enumeration -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _shapes(size: int, excluded_root: str) -> tuple:
-    """Canonical cotree shapes of the given order whose root is not the
-    excluded operator (children of a join are unions or leaves and dually)."""
+def _shapes(size: int, excluded_root: str) -> tuple[str, ...]:
+    """DSL text of the canonical cotree shapes of the given order whose root
+    is not the excluded operator (children of a join are unions or leaves
+    and dually); a union's join children are parenthesized."""
     if size == 1:
-        return (("leaf",),)
+        return ("K1",)
     root = "union" if excluded_root == "join" else "join"
     out = []
     for partition in _partitions(size):
@@ -277,8 +277,9 @@ def _shapes(size: int, excluded_root: str) -> tuple:
                                                     len(list(run))))
                  for part, run in groupby(partition)]  # equal parts adjoin
         for chosen in product(*pools):
-            children = tuple(shape for group in chosen for shape in group)
-            out.append((root, children))
+            children = [text for group in chosen for text in group]
+            out.append("+".join(children) if root == "join" else
+                       "|".join(c if c == "K1" else f"({c})" for c in children))
     return tuple(out)
 
 
@@ -301,29 +302,17 @@ def _partitions(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _label_shape(shape, counter: list[int]) -> CotreeNode:
-    if shape[0] == "leaf":
-        node = leaf(counter[0])
-        counter[0] += 1
-        return node
-    kind, children = shape
-    built = [_label_shape(c, counter) for c in children]
-    return join(built) if kind == "join" else union(built)
-
-
 def enumerate_cotrees(n: int) -> list[Cotree]:
     """All cographs of order n, one labeled cotree per isomorphism class.
 
+    Leaves are labeled 0..n-1 from left to right, as :func:`parse_expression`
+    labels them; the order of the list and the labels are pinned by a test.
     The shape helpers recurse once per level; they serve orders of about 10
     or less, where the number of shapes, not the depth, is the limit.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return [Cotree(leaf(0))]
-    shapes = _shapes(n, "join") + _shapes(n, "union")
-    out = []
-    for shape in shapes:
-        counter = [0]
-        out.append(Cotree(_label_shape(shape, counter)))
-    return out
+        return [parse_expression("K1")]
+    return [parse_expression(text)
+            for text in _shapes(n, "join") + _shapes(n, "union")]

@@ -418,17 +418,15 @@ class TreeShape:
     @classmethod
     def from_graph(cls, tree: Graph) -> "TreeShape":
         m = tree.n
-        if len(tree.edges) != m - 1 or not tree.is_connected():
-            raise ValueError("shape must be a tree: connected with m-1 edges")
-        root = tree.vertices[0]
-        color = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [tree.vertices[0]]
+        color = {queue[0]: 0}
+        for v in queue:  # the list is its own queue
             for w in tree.neighbors(v):
                 if w not in color:
                     color[w] = 1 - color[v]
                     queue.append(w)
+        if len(tree.edges) != m - 1 or len(color) != m:
+            raise ValueError("shape must be a tree: connected with m-1 edges")
         side0 = tuple(sorted(v for v in tree.vertices if color[v] == 0))
         side1 = tuple(sorted(v for v in tree.vertices if color[v] == 1))
         # ties go to the side containing the smallest label

@@ -772,6 +772,11 @@ class TestRarePaths:
          "--tight takes at most two parameters"),
         (("gen", "--tight", "th1case1:a,b"), "bad --tight parameters 'a,b'"),
         (("gen", "--random", "5"), "--random takes n,seed"),
+        # raised while parsing, before any runner starts
+        (("embed", "--expr", "K4", "--tree", "path:2"),
+         "the following arguments are required: --theorem"),
+        (("embed", "--expr", "K4", "--theorem", "th1", "--tree", "path:2",
+          "-k", "x"), "argument -k: invalid int value: 'x'"),
     ])
     def test_usage_errors(self, capsys, argv, message):
         assert main(list(argv)) == 1

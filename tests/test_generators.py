@@ -1,5 +1,7 @@
 """Tight constructions, random cotrees/trees, and shape enumeration."""
 
+import hashlib
+
 import pytest
 
 from cographs import (
@@ -243,9 +245,19 @@ class TestTrees:
 
 class TestEnumerateCotrees:
     def test_known_counts(self):
-        # isomorphism classes of cographs by order
-        assert [len(enumerate_cotrees(n)) for n in range(1, 8)] \
-            == [1, 2, 4, 10, 24, 66, 180]
+        # isomorphism classes of cographs by order; the digest pins the
+        # order of each list and the left-to-right leaf labels as well
+        digest = hashlib.sha256()
+        counts = []
+        for n in range(1, 11):
+            cotrees = enumerate_cotrees(n)
+            counts.append(len(cotrees))
+            for ct in cotrees:
+                labels = ",".join(map(str, ct.root.labels()))
+                digest.update(f"{format_expression(ct)} {labels}\n".encode())
+        assert counts == [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
+        assert digest.hexdigest() == ("d2b3049ccfdd771bc58e4590f74056f0"
+                                      "b01f2640a3b5d3f3add7145022015150")
 
     def test_all_distinct_and_valid(self):
         seen = set()

@@ -269,6 +269,8 @@ class TestTreeShape:
             TreeShape.from_graph(Graph.cycle(4))
         with pytest.raises(ValueError):
             TreeShape.from_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError):  # m - 1 edges, but disconnected
+            TreeShape.from_graph(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
 
     def test_every_edge_crosses_bipartition(self):
         from cographs import random_tree
