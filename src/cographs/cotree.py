@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import (
     ArityError,
@@ -63,7 +64,7 @@ class CotreeNode:
 
     def labels(self) -> list[int]:
         """Leaf labels, left to right."""
-        return [n.label for n in reversed(_preorder(self)) if n.kind == LEAF]
+        return [n.label for n in reversed(list(_preorder(self))) if n.kind == LEAF]
 
     def __repr__(self) -> str:
         if self.kind == LEAF:
@@ -71,15 +72,15 @@ class CotreeNode:
         return f"{self.kind.capitalize()}(order={self.order})"
 
 
-def _preorder(root: CotreeNode) -> list[CotreeNode]:
-    """Every node of the subtree, each before its descendants.  Children are
-    taken last first, so the reversed list meets siblings first to last,
-    each after all of its own descendants."""
-    nodes, stack = [], [root]
+def _preorder(root: CotreeNode) -> Iterator[CotreeNode]:
+    """Every node of the subtree, each before its descendants, one at a time.
+    Children are taken last first, so the reversed list meets siblings first
+    to last, each after all of its own descendants."""
+    stack = [root]
     while stack:
-        nodes.append(stack.pop())
-        stack += nodes[-1].children
-    return nodes
+        node = stack.pop()
+        yield node
+        stack += node.children
 
 
 def leaf(label: int) -> CotreeNode:
@@ -257,7 +258,7 @@ def materialize(ct: Cotree) -> Graph:
     lists of its children on top of the stack.  The edge count is checked
     against the limit first.
     """
-    nodes = _preorder(ct.root)
+    nodes = list(_preorder(ct.root))
     m = sum((x.order ** 2 - sum(c.order ** 2 for c in x.children)) // 2
             for x in nodes if x.kind == JOIN)
     if m > _MAX_EDGES:

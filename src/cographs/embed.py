@@ -11,10 +11,10 @@ below it), then the proof's case analysis builds the copy from those nodes
 and ``G.vertices`` alone: :func:`_split` is its one cut (a cocomponent and
 the join side S), :func:`_first_edge` its one edge search.  It places
 trees smallest label first with :func:`_place`, the first placement of
-:func:`cographs.embedding._placements`.  Last, :func:`_result` checks the
-result twice: as a copy of the tree (injective, tree edges on graph edges, a
-pair disjoint), and on its residual, built and recognized once, by two
-routes that each decide through :meth:`~cographs.embedding.Preserved.holds`:
+:func:`cographs.embedding._placements`.  Last, :func:`_verified` checks the
+result twice: as a copy of the tree (``Embedding.check``, the one placement
+rule; a pair disjoint), and on its residual, built and recognized once, by
+two routes that each decide through :meth:`~cographs.embedding.Preserved.holds`:
 the closed-form report of a vertex-deleted residual, and
 :class:`cographs.oracle._flow_values` of an edge-deleted one.  The result
 carries the residual's report, which ``cograph embed`` prints.  A failed
@@ -66,6 +66,7 @@ from .errors import (
     NotSuperError,
     PartTooSmallError,
     PostconditionFailedError,
+    UnknownVertexError,
 )
 from .graph import (
     Graph,
@@ -109,18 +110,9 @@ def _embed_mapping(G: Graph, T: TreeShape, allowed,
     """
     allowed = set(allowed)
     if partial:
-        dom = set(partial)
-        sub = induced_subgraph(T.tree, dom)
-        if not sub.is_connected():  # induced in a tree: connected is a subtree
-            raise ValueError("partial embedding domain is not a subtree")
-        if len(set(partial.values())) != len(partial):
-            raise ValueError("partial embedding is not injective")
-        for u, v in sub.edges:
-            if not G.has_edge(partial[u], partial[v]):
-                raise ValueError("partial embedding does not preserve edges")
-        for g in partial.values():
-            if g not in allowed:
-                raise ValueError("partial embedding leaves the allowed set")
+        Embedding.from_mapping(_subtree_shape(T, partial), partial).check(G)
+        if not allowed.issuperset(partial.values()):
+            raise ValueError("partial embedding leaves the allowed set")
     mapping = next(_placements(G, T, allowed, partial), None)
     if mapping is None:
         raise DegreeTooLowError(
@@ -130,12 +122,13 @@ def _embed_mapping(G: Graph, T: TreeShape, allowed,
 
 
 def greedy_embed(G: Graph, T: TreeShape, allowed=None) -> Embedding:
-    """Embed T inside ``allowed``, processing each vertex after its parent
-    and always taking the smallest-label unused neighbor."""
-    if allowed is None:
-        allowed = G.vertices
-    mapping = _embed_mapping(G, T, allowed)
-    return Embedding.from_mapping(T, mapping)
+    """Embed T inside ``allowed`` (default: all of G), processing each vertex
+    after its parent and always taking the smallest-label unused neighbor."""
+    allowed = set(G.vertices if allowed is None else allowed)
+    for v in allowed:
+        if not G.has_vertex(v):
+            raise UnknownVertexError(f"vertex {v} not in graph")
+    return extend_embedding(G, {}, T, forbidden=set(G.vertices) - allowed)
 
 
 def extend_embedding(G: Graph, partial: Embedding | dict[int, int],
@@ -151,8 +144,8 @@ def extend_embedding(G: Graph, partial: Embedding | dict[int, int],
 
 def _across_mapping(T: TreeShape, X, Y, G: Graph) -> dict[int, int]:
     v1, v2 = T.bipartition
-    X = sorted(X)
-    Y = sorted(Y)
+    X = sorted(set(X))
+    Y = sorted(set(Y))
     if len(X) < len(v1) or len(Y) < len(v2):
         raise PartTooSmallError(
             f"need sides of sizes >= ({len(v1)}, {len(v2)}), "
@@ -235,26 +228,26 @@ def _delta_at_least(report: AnalysisReport, bound: int, case: str | None = None,
             required_delta=bound, case=case)
 
 
-def _verified(G: Graph, *embeddings: Embedding,
+def _verified(G: Graph, mode: DeleteMode, prop, *placed: tuple[TreeShape, dict],
               oracle_max_n: int = 0) -> Embedding | DisjointPair:
-    """The result made of ``embeddings`` (one, or a disjoint pair), checked
-    and carrying its ``residual_report``.
+    """One ``(tree, mapping)`` item, or two as a disjoint pair, made into the
+    ``mode``/``prop`` result, checked, and carrying its ``residual_report``.
 
-    Each embedding must be a copy of its tree in G.  The residual is built
+    Each mapping must be a copy of its tree in G.  The residual is built
     and recognized once.  ``Preserved.holds`` judges the ``analyze`` report
     of a vertex-deleted residual (closed form) and the ``_flow_values`` of
     an edge-deleted one or any up to ``oracle_max_n`` vertices (oracle; flow
     when the residual is not a cograph, whose report they then fill).
     """
-    head = embeddings[0]
+    embeddings = [Embedding.from_mapping(T, mapping, mode, prop)
+                  for T, mapping in placed]
     try:
         for emb in embeddings:
             emb.check(G)
-        result = DisjointPair(*embeddings) if len(embeddings) == 2 else head
+        result = DisjointPair(*embeddings) if len(embeddings) == 2 else embeddings[0]
     except ValueError as exc:
         raise PostconditionFailedError(
             f"result is not a copy of the tree: {exc}") from exc
-    prop = head.preserved
     residual = result.residual(G)
     values = _flow_values(residual)
     rct = cotree_from_graph(residual).cotree
@@ -263,21 +256,14 @@ def _verified(G: Graph, *embeddings: Embedding,
                                        ("n", "delta", "kappa", "lambda")}}
     else:
         report = {"cograph": True, **analyze(rct).to_dict()}
-    if head.mode is DeleteMode.VERTEX:
+    if mode is DeleteMode.VERTEX:
         _require(prop.holds(report.__getitem__),
                  f"residual is not {prop.tag()} (closed form)")
-    if head.mode is DeleteMode.EDGE or residual.n <= oracle_max_n:
+    if mode is DeleteMode.EDGE or residual.n <= oracle_max_n:
         route = "flow" if rct is None else "oracle"
         _require(prop.holds(values.__getitem__),
                  f"residual is not {prop.tag()} ({route})")
     return replace(result, residual_report=report)
-
-
-def _result(G: Graph, mode: DeleteMode, tag, *placed: tuple[TreeShape, dict],
-            oracle_max_n: int = 0) -> Embedding | DisjointPair:
-    """:func:`_verified` result of one or two ``(tree, mapping)`` items."""
-    return _verified(G, *(Embedding.from_mapping(T, mapping, mode, tag)
-                          for T, mapping in placed), oracle_max_n=oracle_max_n)
 
 
 def _place(G: Graph, T: TreeShape, allowed,
@@ -349,7 +335,7 @@ def keep_vertex_connectivity(G: Graph | Cotree, T: TreeShape, k: int) -> Embeddi
     case, bound = keep_vertex_connectivity_bound(k, T.order, report.n_prime)
     _delta_at_least(report, bound, case=case)
     mapping = _keep_vertex_connectivity_mapping(G, parts, T, k)
-    return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
+    return _verified(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
 def keep_vertex_connectivity_two(G: Graph | Cotree, T1: TreeShape,
@@ -388,7 +374,7 @@ def _disjoint_pair(G: Graph | Cotree, T1: TreeShape, T2: TreeShape,
     maps = [_place(G, T, host) for T, host in zip((T1, T2), hosts)]
     _require(all(len(host) - m >= spare for host in hosts),
              "components do not retain ceil(kappa/2) vertices")
-    return _result(G, mode, exact_kappa(kappa), *zip((T1, T2), maps))
+    return _verified(G, mode, exact_kappa(kappa), *zip((T1, T2), maps))
 
 
 # -- maximal connectedness keeping tree ---------------------------------------------
@@ -436,7 +422,7 @@ def keep_maximal_connectedness(G: Graph | Cotree, T: TreeShape) -> Embedding:
             mapping = _keep_maximal_balanced(G, T, rest, s, others, k, p, q)
 
     _require(x not in mapping.values(), "the shielded isolated vertex was deleted")
-    return _result(G, DeleteMode.VERTEX, tag, (T, mapping))
+    return _verified(G, DeleteMode.VERTEX, tag, (T, mapping))
 
 
 def _keep_maximal_balanced(G: Graph, T: TreeShape, rest: list[int],
@@ -512,7 +498,7 @@ def keep_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     _delta_at_least(report, k + T.order - 1)
     _, s = _split(G, parts[0])
     mapping = _place(G, T, set(G.vertices) - set(s[:k]))
-    return _result(G, DeleteMode.EDGE, tag, (T, mapping))
+    return _verified(G, DeleteMode.EDGE, tag, (T, mapping))
 
 
 def keep_connectivity_edge_delete_two(G: Graph | Cotree, T1: TreeShape,
@@ -539,7 +525,7 @@ def keep_edge_connectivity_vertex_delete(G: Graph | Cotree, T: TreeShape,
     G, parts, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, k + T.order - (1 if k == 1 else 0))
     mapping = _keep_vertex_connectivity_mapping(G, parts, T, 1)
-    return _result(G, DeleteMode.VERTEX, tag, (T, mapping), oracle_max_n=G.n)
+    return _verified(G, DeleteMode.VERTEX, tag, (T, mapping), oracle_max_n=G.n)
 
 
 # -- super edge-connectedness keeping tree ------------------------------------------------
@@ -566,7 +552,7 @@ def keep_super_edge_connectivity(G: Graph | Cotree, T: TreeShape) -> Embedding:
     else:
         mapping = _super_single_join_vertex(G, T, parts[0])
 
-    return _result(G, DeleteMode.VERTEX, tag, (T, mapping),
+    return _verified(G, DeleteMode.VERTEX, tag, (T, mapping),
                    oracle_max_n=DEFAULT_CUT_CAP)
 
 
@@ -711,4 +697,4 @@ def keep_edge_connectivity_edge_delete(G: Graph | Cotree, T: TreeShape,
     G, parts, report = _inputs(G, k, tag=tag)
     _delta_at_least(report, max(k + T.max_degree + T.beta - 1, T.order - 1))
     mapping = _keep_edge_conn_mapping(G, parts, T)
-    return _result(G, DeleteMode.EDGE, tag, (T, mapping))
+    return _verified(G, DeleteMode.EDGE, tag, (T, mapping))

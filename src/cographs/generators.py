@@ -1,11 +1,12 @@
 """Extremal example constructions plus seeded random cographs and trees.
 
 The tight examples are the minimum-degree-boundary graphs used to certify
-that each keeping-tree bound cannot be lowered; their claimed kappa and
-delta values are checked against the closed-form analysis at construction
-time.  Random cographs come from recursive random composition (deterministic
-per seed, not uniform over cographs) and random trees from uniform Pruefer
-sequences.
+that each keeping-tree bound cannot be lowered: each sits one below its
+bound, except ``th1case2`` at m > 1 (floor(m/2) + 1 below).  Their claimed
+kappa and delta values are checked against the closed-form analysis at
+construction time.  Random cographs come from recursive random composition
+(deterministic per seed, not uniform over cographs) and random trees from
+uniform Pruefer sequences.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ def _check(condition: bool, detail: str) -> None:
 
 
 def tight_example(kind: str, k: int | None = None, m: int | None = None) -> TightExample:
-    """Build one of the boundary graphs; parameters must meet the kind's
-    side conditions.  Claimed (kappa, delta) metadata is checked against
-    the analysis module before returning; a mismatch raises
-    PostconditionFailedError.
+    """Build one of the boundary graphs, one below its bound (``th1case2``
+    only at m = 1); parameters must meet the kind's side conditions.
+    Claimed (kappa, delta) metadata is checked against the analysis module
+    before returning; a mismatch raises PostconditionFailedError.
     """
     kind = kind.lower()
     if kind not in TIGHT_KINDS:

@@ -394,7 +394,7 @@ def format_by_copies(ct: Cotree) -> str:
     """Reference formatter: each subtree's text is built, then copied into
     its parent's; a union child is parenthesized when its text has a "+"."""
     texts: list[str] = []  # one per finished subtree, siblings in order
-    for node in reversed(_preorder(ct.root)):
+    for node in reversed(list(_preorder(ct.root))):
         parts = texts[len(texts) - len(node.children):]
         del texts[len(texts) - len(node.children):]
         order = _complete_order(node)

@@ -65,6 +65,7 @@ from cographs.errors import (
     NotSuperError,
     PartTooSmallError,
     PostconditionFailedError,
+    UnknownVertexError,
     WouldBeEmptyError,
 )
 from cographs.oracle import residual_satisfies
@@ -92,6 +93,10 @@ class TestGreedyEmbed:
     def test_impossible_raises(self):
         with pytest.raises(DegreeTooLowError):
             greedy_embed(Graph.path(3), named_tree("star:4"))
+
+    def test_allowed_label_outside_the_graph_is_refused(self):
+        with pytest.raises(UnknownVertexError, match="^vertex 99 not in graph$"):
+            greedy_embed(Graph.complete(3), named_tree("path:1"), allowed=[99])
 
     def test_determinism(self):
         G = G_of("(K2|K2)+(K1|K1)+K2")
@@ -134,8 +139,9 @@ class TestExtendEmbedding:
             extend_embedding(G, {0: 0, 2: 1}, named_tree("path:3"))
 
     @pytest.mark.parametrize("partial,forbidden,text", [
-        ({0: 1, 1: 1}, (), "partial embedding is not injective"),
+        ({0: 1, 1: 1}, (), "embedding is not injective"),
         ({0: 0}, {0}, "partial embedding leaves the allowed set"),
+        ({0: 7}, (), "image vertex 7 not in graph"),
     ])
     def test_refused_partial_names_its_fault(self, partial, forbidden, text):
         with pytest.raises(ValueError, match=f"^{text}$"):
@@ -185,6 +191,11 @@ class TestEmbedAcross:
             embed_across(named_tree("path:4"), {0}, {3, 4}, G)
         with pytest.raises(MissingCrossEdgeError):
             embed_across(named_tree("path:4"), {0, 1}, {2, 3}, G)
+
+    def test_repeated_labels_count_once(self):
+        # [0, 0] is one vertex: too small for the two-vertex class of path:3
+        with pytest.raises(PartTooSmallError):
+            embed_across(named_tree("path:3"), [0, 0], [1], Graph.complete(4))
 
 
 class TestKeepVertexConnectivity:
@@ -679,9 +690,12 @@ class TestVerifier:
         if not holds:
             with pytest.raises(PostconditionFailedError,
                                match=re.escape(f"{tag.tag()} (flow)")):
-                embed_module._verified(G, emb)
+                embed_module._verified(G, emb.mode, emb.preserved,
+                                       (emb.shape, emb.mapping))
             return
-        assert embed_module._verified(G, emb).residual_report == {
+        assert embed_module._verified(
+            G, emb.mode, emb.preserved, (emb.shape, emb.mapping)
+        ).residual_report == {
             "cograph": False, "n": 6, "delta": 2, "kappa": 1, "lambda": 2}
 
     def test_report_matches_a_fresh_recomputation(self):
@@ -794,7 +808,8 @@ class TestVerifier:
                                      DeleteMode.EDGE, k_edge_connected(3))
         with pytest.raises(PostconditionFailedError,
                            match=r"k_edge_connected\(3\) \(oracle\)"):
-            embed_module._verified(Graph.complete(4), emb)
+            embed_module._verified(Graph.complete(4), emb.mode, emb.preserved,
+                                   (emb.shape, emb.mapping))
 
 
 class TestFlowValuesOncePerGraph:
@@ -927,7 +942,7 @@ class TestSharedPath:
 
     def test_internal_partial_map_is_still_checked(self):
         G, T = G_of("K1|K3"), named_tree("path:3")
-        with pytest.raises(ValueError, match="does not preserve edges"):
+        with pytest.raises(ValueError, match=r"tree edge \(0, 1\) not preserved"):
             embed_module._place(G, T, G.vertices, {0: 0, 1: 1})
 
 
